@@ -209,7 +209,7 @@ def main(argv=None) -> dict:
         # rewrite: the per-round correction used to reread the whole
         # (B, k, M) coefficient history; it is now a fused O(B·k·r)
         # Gram–Schmidt step in factor space (see
-        # repro.dpp.map_inference._batched_greedy_rounds).  The "before"
+        # repro.dpp.map_inference._greedy_rounds).  The "before"
         # numbers are the committed PR 3 baseline at B=64, M=10k, r=32.
         "map_cholesky_fusion": {
             "before": {"map_requests_per_s": 572.65, "map_speedup_b64": 2.35},
@@ -218,7 +218,7 @@ def main(argv=None) -> dict:
         # Second MAP rewrite: the residual per-round python bookkeeping
         # (mask-last-pick loop + per-request append) replaced by one
         # fancy-index write + one batched masked argmax per round (see
-        # _batched_greedy_rounds), selections bit-identical.  Measured
+        # _greedy_rounds), selections bit-identical.  Measured
         # effect at M=10k..1e5, B=64: within run noise — the remaining
         # per-round cost is the O(B·M) projection/update/argmax passes
         # themselves (BLAS- and memory-bound), no longer python-bound;

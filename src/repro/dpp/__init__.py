@@ -65,9 +65,7 @@ from .kernels import (
 )
 from .map_inference import (
     batched_greedy_map_shared,
-    batched_greedy_map_shared_session,
     batched_greedy_map_stacked,
-    batched_greedy_map_stacked_session,
     greedy_map,
     greedy_map_reference,
 )
@@ -113,6 +111,4 @@ __all__ = [
     "greedy_map_reference",
     "batched_greedy_map_shared",
     "batched_greedy_map_stacked",
-    "batched_greedy_map_shared_session",
-    "batched_greedy_map_stacked_session",
 ]

@@ -16,6 +16,8 @@ being handed — the M×M Gram matrix.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .kernels import LowRankKernel
@@ -25,8 +27,6 @@ __all__ = [
     "greedy_map_reference",
     "batched_greedy_map_shared",
     "batched_greedy_map_stacked",
-    "batched_greedy_map_shared_session",
-    "batched_greedy_map_stacked_session",
 ]
 
 
@@ -104,17 +104,26 @@ def greedy_map(
     return [int(candidates[i]) for i in selected]
 
 
-def _batched_greedy_rounds(
-    di2: np.ndarray, row_factor, project, rank: int, k: int, epsilon: float
+def _greedy_rounds(
+    di2: np.ndarray,
+    row_factor,
+    project,
+    rank: int,
+    k: int,
+    epsilon: float,
+    seeds: np.ndarray | None = None,
+    pins: list | None = None,
+    quota: list | None = None,
 ) -> list[list[int]]:
-    """Shared driver of the batched greedy-MAP variants, in factor space.
+    """The one greedy loop behind both batched greedy-MAP drivers, in
+    factor space.
 
     ``di2`` is the ``(B, N)`` stack of marginal-gain residuals.  All
     kernels here are low-rank — item ``i`` of request ``b`` is a factor
     row ``b_i ∈ R^r`` — so instead of storing every request's partial
     Cholesky rows (a ``(B, k, N)`` history whose per-round correction
     matmul rereads the whole prefix, O(B·k²·N) traffic over a full run),
-    the driver maintains the orthonormal directions ``u_1..u_j ∈ R^r``
+    the loop maintains the orthonormal directions ``u_1..u_j ∈ R^r``
     spanning the selected rows.  The classic update
 
         ``e_i = (L[last, i] - Σ_j c_last,j c_i,j) / d_last``
@@ -129,234 +138,91 @@ def _batched_greedy_rounds(
     ``row_factor(lasts)`` returns the ``(B, r)`` factor rows of the
     per-request last-selected items; ``project(u)`` returns the
     ``(B, N)`` inner products of every item's factor row with each
-    request's new direction.  Per-request early stopping mirrors
-    :func:`greedy_map` exactly: the first item is always kept, later
-    rounds stop a request once its best remaining gain falls below
-    ``epsilon`` (other requests keep running).
+    request's new direction.  Selection bookkeeping is vectorized: each
+    round takes one batched ``argmax`` over the gain stack and masks the
+    picks with one fancy-index write.
 
-    Selection bookkeeping is fully vectorized: each round masks the
-    just-picked item per request with one fancy-index write and takes
-    one batched ``argmax`` over the masked gain stack — no per-request
-    python loop (the residual cost the PR 4 Cholesky fusion left
-    behind).  For a request that has already stopped, the mask falls on
-    its latest (never-kept) argmax instead of a selected item; that row
-    is permanently inactive, so its gain state no longer feeds any
-    output and the extra masking is harmless.
+    Session constraints, each inert when ``None``:
+
+    * ``seeds`` — a zero-padded ``(B, s, r)`` stack of orthonormal
+      conditioning directions pre-loaded into the Gram–Schmidt state
+      (zero rows are inert); ``di2`` must already be deflated against
+      them (the drivers do this).
+    * ``pins[b]`` — local ids of force-included items.  They occupy the
+      front of request ``b``'s picks and are hard-masked; their
+      directions are assumed to be part of ``seeds``.
+    * ``quota[b]`` — ``None`` or ``(categories, {category: minimum})``
+      with ``categories`` a local ``(N,)`` int array: whenever a
+      request's remaining slots are all needed to close quota deficits,
+      its argmax is restricted to the deficit categories.
+
+    The per-request Python loops for pins and quotas run only when a
+    pin or quota is present.  Early stopping mirrors :func:`greedy_map`:
+    a request's very first pick (no pins) is always kept; every later
+    pick — quota-restricted or not — needs a gain of at least
+    ``epsilon``, so an exhausted rank or an unsatisfiable quota yields a
+    partial slate rather than padding with zero-gain items (other
+    requests keep running).
     """
     batch, _ = di2.shape
     rows_index = np.arange(batch)
-    ortho = np.zeros((batch, max(k - 1, 1), rank), dtype=np.float64)
-    lasts = np.argmax(di2, axis=1)
-    picks = np.empty((batch, k), dtype=np.int64)
-    picks[:, 0] = lasts
-    counts = np.ones(batch, dtype=np.int64)
-    active = np.ones(batch, dtype=bool)
-    for round_index in range(1, k):
-        if not np.any(active):
-            break
-        di_last = np.sqrt(np.maximum(di2[rows_index, lasts], epsilon))
-        residual = row_factor(lasts)
-        if round_index > 1:
-            previous = ortho[:, : round_index - 1]
-            overlaps = np.einsum("bjr,br->bj", previous, residual)
-            residual = residual - np.einsum("bj,bjr->br", overlaps, previous)
-        direction = residual / di_last[:, None]
-        ortho[:, round_index - 1] = direction
-        eis = project(direction)
-        di2 -= eis**2
-        di2[rows_index, lasts] = -np.inf  # masked argmax: never re-pick
-        lasts = np.argmax(di2, axis=1)
-        active &= di2[rows_index, lasts] >= epsilon
-        picks[active, round_index] = lasts[active]
-        counts[active] += 1
-    return [picks[b, : counts[b]].tolist() for b in range(batch)]
-
-
-def batched_greedy_map_shared(
-    diversity_factors: np.ndarray,
-    quality: np.ndarray,
-    k: int,
-    epsilon: float = 1e-10,
-) -> list[list[int]]:
-    """Greedy MAP for a batch of kernels sharing one factor matrix ``V``.
-
-    Request ``b``'s kernel is ``L_b = Diag(q_b) V Vᵀ Diag(q_b)`` (Eq. 2);
-    the stacked factor matrices are never materialized.  Each round's
-    only catalog-sized work is one shared ``(B, r) @ (r, M)`` matmul
-    projecting every item onto the round's new Cholesky direction
-    (``e_bi = q_bi ⟨v_i, u_b⟩``, see :func:`_batched_greedy_rounds`) —
-    the per-round catalog reads that dominate sequential serving are
-    paid once per batch instead of once per request, and the former
-    ``(B, k, M)`` correction history is fused into an O(B·k·r)
-    coefficient update.  Matches per-request
-    :func:`greedy_map` on a :class:`LowRankKernel` of the same factors,
-    with one caveat: when marginal gains are *exactly* tied (e.g.
-    perfectly uniform quality over a unit-diagonal catalog), the two
-    paths may break the tie differently — each then returns a valid
-    greedy solution, just not the same one.
-    """
-    diversity_factors = np.asarray(diversity_factors, dtype=np.float64)
-    quality = np.asarray(quality, dtype=np.float64)
-    batch, ground = quality.shape
-    if diversity_factors.shape[0] != ground:
-        raise ValueError(
-            f"factors cover {diversity_factors.shape[0]} items but quality "
-            f"has {ground}"
-        )
-    if not 1 <= k <= ground:
-        raise ValueError(f"k must be in [1, {ground}], got {k}")
-    rows_index = np.arange(batch)
-    di2 = quality**2 * (diversity_factors**2).sum(axis=1)[None, :]
-
-    def row_factor(lasts: np.ndarray) -> np.ndarray:
-        return diversity_factors[lasts] * quality[rows_index, lasts][:, None]
-
-    def project(direction: np.ndarray) -> np.ndarray:
-        eis = direction @ diversity_factors.T
-        eis *= quality
-        return eis
-
-    return _batched_greedy_rounds(
-        di2, row_factor, project, diversity_factors.shape[1], k, epsilon
-    )
-
-
-def batched_greedy_map_stacked(
-    factor_stack: np.ndarray, k: int, epsilon: float = 1e-10
-) -> list[list[int]]:
-    """Greedy MAP over an explicit ``(B, N, r)`` per-request factor stack.
-
-    The candidate-slice twin of :func:`batched_greedy_map_shared`: each
-    request brings its own (small) gathered ground set and every round is
-    a batched ``einsum`` over the stack.
-    """
-    factor_stack = np.asarray(factor_stack, dtype=np.float64)
-    if factor_stack.ndim != 3:
-        raise ValueError(f"expected (B, N, r) factors, got {factor_stack.shape}")
-    batch, ground, _ = factor_stack.shape
-    if not 1 <= k <= ground:
-        raise ValueError(f"k must be in [1, {ground}], got {k}")
-    di2 = np.einsum("bnr,bnr->bn", factor_stack, factor_stack)
-
-    def row_factor(lasts: np.ndarray) -> np.ndarray:
-        return factor_stack[np.arange(batch), lasts]
-
-    def project(direction: np.ndarray) -> np.ndarray:
-        return np.einsum("bnr,br->bn", factor_stack, direction)
-
-    return _batched_greedy_rounds(
-        di2, row_factor, project, factor_stack.shape[2], k, epsilon
-    )
-
-
-def _batched_greedy_rounds_session(
-    di2: np.ndarray,
-    row_factor,
-    project,
-    rank: int,
-    k: int,
-    epsilon: float,
-    seeds: np.ndarray | None = None,
-    pins: list | None = None,
-    quota: list | None = None,
-) -> list[list[int]]:
-    """Constrained sibling of :func:`_batched_greedy_rounds`.
-
-    Serves the session-aware requests the plain driver cannot: Gram–
-    Schmidt state pre-seeded with conditioning directions, force-included
-    pins, and per-category minimum quotas.  Unconstrained groups keep the
-    original driver untouched, which is what pins the engine's
-    ``alpha=1`` / empty-history bit-parity guarantee.
-
-    ``di2`` must already be deflated against ``seeds`` (the wrappers
-    subtract the seed projections); ``seeds`` is a zero-padded
-    ``(B, s, r)`` stack of orthonormal directions per request (zero rows
-    are inert).  ``pins[b]`` is a local-id array of force-included items
-    — they occupy the front of request ``b``'s picks and their
-    directions are assumed to be part of ``seeds`` (so their gains are
-    zero and they are additionally hard-masked here).  ``quota[b]`` is
-    ``None`` or ``(categories, {category: minimum})`` with ``categories``
-    a local ``(N,)`` int array: whenever a request's remaining slots are
-    all needed to close quota deficits, its argmax is restricted to the
-    deficit categories.
-
-    Early-stop rule, uniform across constraints: a request's very first
-    pick (no pins) is always kept, matching the plain driver; every
-    later pick — quota-restricted or not — requires a gain of at least
-    ``epsilon``, so an unsatisfiable quota or an exhausted rank yields a
-    partial slate rather than padding with zero-gain items.
-    """
-    batch, _ = di2.shape
-    rows_index = np.arange(batch)
-    s_max = 0 if seeds is None else seeds.shape[1]
-    ortho = np.zeros((batch, s_max + k, rank), dtype=np.float64)
+    filled = 0 if seeds is None else seeds.shape[1]
+    ortho = np.zeros((batch, filled + k, rank), dtype=np.float64)
     if seeds is not None:
-        ortho[:, :s_max] = seeds
-    filled = s_max
-    picks = np.full((batch, k), -1, dtype=np.int64)
+        ortho[:, :filled] = seeds
+    picks = np.empty((batch, k), dtype=np.int64)
     counts = np.zeros(batch, dtype=np.int64)
-    cat_counts: list[dict | None] = [None] * batch
-    if quota is not None:
-        for b, spec in enumerate(quota):
-            if spec is not None:
-                cat_counts[b] = {}
+    cat_counts = [Counter() for _ in quota] if quota is not None else []
     if pins is not None:
         for b, pinned in enumerate(pins):
             if pinned is None or len(pinned) == 0:
                 continue
-            pinned = np.asarray(pinned, dtype=np.int64)
-            picks[b, : pinned.shape[0]] = pinned
-            counts[b] = pinned.shape[0]
+            picks[b, : len(pinned)] = pinned
+            counts[b] = len(pinned)
             di2[b, pinned] = -np.inf
-            if cat_counts[b] is not None:
-                categories = quota[b][0]
-                for item in pinned:
-                    cat = int(categories[item])
-                    cat_counts[b][cat] = cat_counts[b].get(cat, 0) + 1
+            if quota is not None and quota[b] is not None:
+                cat_counts[b].update(quota[b][0][pinned].tolist())
     active = counts < k
-    while np.any(active):
+    while active.any():
         lasts = np.argmax(di2, axis=1)
         gains = di2[rows_index, lasts]
         if quota is not None:
             for b in np.flatnonzero(active):
-                spec = quota[b]
-                if spec is None:
+                if quota[b] is None:
                     continue
-                categories, minimums = spec
+                categories, minimums = quota[b]
                 seen = cat_counts[b]
                 deficits = {
-                    cat: need - seen.get(cat, 0)
+                    cat: need - seen[cat]
                     for cat, need in minimums.items()
-                    if need - seen.get(cat, 0) > 0
+                    if need > seen[cat]
                 }
-                if not deficits:
-                    continue
-                if sum(deficits.values()) >= k - counts[b]:
+                if deficits and sum(deficits.values()) >= k - counts[b]:
                     # Every remaining slot is spoken for: restrict the
                     # pick to categories still short of their minimum.
                     allowed = np.isin(categories, list(deficits))
                     row = np.where(allowed, di2[b], -np.inf)
                     lasts[b] = int(np.argmax(row))
                     gains[b] = row[lasts[b]]
-        # The first pick of a pin-less request is always kept (the plain
-        # driver's semantics); counts == 0 only ever holds then.
+        # The first pick of a pin-less request (counts == 0) is kept.
         active &= (gains >= epsilon) | (counts == 0)
-        if not np.any(active):
-            break
         chosen = rows_index[active]
-        picks[chosen, counts[active]] = lasts[active]
-        di2[chosen, lasts[active]] = -np.inf
-        counts[active] += 1
-        for b in chosen:
-            if cat_counts[b] is not None:
-                cat = int(quota[b][0][lasts[b]])
-                cat_counts[b][cat] = cat_counts[b].get(cat, 0) + 1
+        if chosen.size == 0:
+            break
+        picks[chosen, counts[chosen]] = lasts[chosen]
+        di2[chosen, lasts[chosen]] = -np.inf
+        counts[chosen] += 1
+        if quota is not None:
+            for b in chosen:
+                if quota[b] is not None:
+                    cat_counts[b][int(quota[b][0][lasts[b]])] += 1
         active &= counts < k
-        if not np.any(active):
+        if not active.any():
             break
         di_last = np.sqrt(np.maximum(gains, epsilon))
         residual = row_factor(lasts)
-        residual[~active] = 0.0
+        if not active.all():
+            residual[~active] = 0.0
         if filled:
             previous = ortho[:, :filled]
             overlaps = np.einsum("bjr,br->bj", previous, residual)
@@ -364,8 +230,7 @@ def _batched_greedy_rounds_session(
         direction = residual / di_last[:, None]
         ortho[:, filled] = direction
         filled += 1
-        eis = project(direction)
-        di2 -= eis**2
+        di2 -= project(direction) ** 2
     return [picks[b, : counts[b]].tolist() for b in range(batch)]
 
 
@@ -376,27 +241,36 @@ def _deflate_gains(di2: np.ndarray, projections: np.ndarray) -> np.ndarray:
     return np.clip(di2, 0.0, None, out=di2)
 
 
-def batched_greedy_map_shared_session(
+def batched_greedy_map_shared(
     diversity_factors: np.ndarray,
     quality: np.ndarray,
     k: int,
+    epsilon: float = 1e-10,
+    *,
     seeds: np.ndarray | None = None,
     pins: list | None = None,
     quota: list | None = None,
-    epsilon: float = 1e-10,
 ) -> list[list[int]]:
-    """Session/constrained greedy MAP over one shared factor matrix.
+    """Greedy MAP for a batch of kernels sharing one factor matrix ``V``.
 
-    Same kernel family as :func:`batched_greedy_map_shared` (request
-    ``b`` scores item ``i`` as ``q_bi v_i``), but the selection is
-    conditioned and constrained: ``seeds`` is a zero-padded ``(B, s, r)``
-    stack of orthonormal directions (history items already shown, plus
-    the span of pinned rows) that are projected out of every marginal
-    gain before the first round, ``pins``/``quota`` are forwarded to
-    :func:`_batched_greedy_rounds_session`.  With no seeds, pins or
-    quotas this computes exactly what the plain shared variant computes
-    — but through a separate driver, so the unconstrained serving path
-    stays bit-identical to its pre-session behavior.
+    Request ``b``'s kernel is ``L_b = Diag(q_b) V Vᵀ Diag(q_b)`` (Eq. 2);
+    the stacked factor matrices are never materialized.  Each round's
+    only catalog-sized work is one shared ``(B, r) @ (r, M)`` matmul
+    projecting every item onto the round's new Cholesky direction
+    (``e_bi = q_bi ⟨v_i, u_b⟩``, see :func:`_greedy_rounds`) — the
+    per-round catalog reads that dominate sequential serving are paid
+    once per batch instead of once per request.  Matches per-request
+    :func:`greedy_map` on a :class:`LowRankKernel` of the same factors,
+    with one caveat: when marginal gains are *exactly* tied (e.g.
+    perfectly uniform quality over a unit-diagonal catalog), the two
+    paths may break the tie differently — each then returns a valid
+    greedy solution, just not the same one.
+
+    ``seeds`` (a zero-padded ``(B, s, r)`` stack of orthonormal
+    directions: history items already shown, plus the span of pinned
+    rows) is projected out of every marginal gain before the first
+    round; ``pins`` / ``quota`` constrain the picks (see
+    :func:`_greedy_rounds`).
     """
     diversity_factors = np.asarray(diversity_factors, dtype=np.float64)
     quality = np.asarray(quality, dtype=np.float64)
@@ -423,7 +297,7 @@ def batched_greedy_map_shared_session(
         eis *= quality
         return eis
 
-    return _batched_greedy_rounds_session(
+    return _greedy_rounds(
         di2,
         row_factor,
         project,
@@ -436,21 +310,22 @@ def batched_greedy_map_shared_session(
     )
 
 
-def batched_greedy_map_stacked_session(
+def batched_greedy_map_stacked(
     factor_stack: np.ndarray,
     k: int,
+    epsilon: float = 1e-10,
+    *,
     seeds: np.ndarray | None = None,
     pins: list | None = None,
     quota: list | None = None,
-    epsilon: float = 1e-10,
 ) -> list[list[int]]:
-    """Session/constrained greedy MAP over a ``(B, N, r)`` factor stack.
+    """Greedy MAP over an explicit ``(B, N, r)`` per-request factor stack.
 
-    The candidate-slice twin of
-    :func:`batched_greedy_map_shared_session`.  The serving engine hands
-    it stacks whose rows are already deflated against the request's
-    history, so ``seeds`` here carries only the pin directions (an
-    orthonormal basis of each request's pinned rows, zero-padded).
+    The candidate-slice twin of :func:`batched_greedy_map_shared`: each
+    request brings its own (small) gathered ground set and every round is
+    a batched ``einsum`` over the stack.  The serving engine hands it
+    stacks whose rows are already deflated against the request's
+    history, so ``seeds`` there carries only the pin directions.
     """
     factor_stack = np.asarray(factor_stack, dtype=np.float64)
     if factor_stack.ndim != 3:
@@ -469,7 +344,7 @@ def batched_greedy_map_stacked_session(
     def project(direction: np.ndarray) -> np.ndarray:
         return np.einsum("bnr,br->bn", factor_stack, direction)
 
-    return _batched_greedy_rounds_session(
+    return _greedy_rounds(
         di2,
         row_factor,
         project,

@@ -57,7 +57,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from ..utils.metrics import MetricsRegistry
-from .observability import EventLog
+from .observability import EventLog, RateSampler
 
 __all__ = [
     "HEALTHY",
@@ -745,10 +745,11 @@ class ResponseAuditor:
     slate-quality metrics from the *pinned* snapshot's factor rows (the
     exact factors the slate was served from, even mid-hot-swap).
 
-    Sampling mirrors the trace sampler: a deterministic credit
-    accumulator, no RNG consumed, so ``audit_rate=0`` leaves seeded
-    sample streams bit-identical (parity-pinned) and any rate is
-    reproducible under the manual-clock test harness.
+    Sampling uses the trace sampler's
+    :class:`~repro.serving.observability.RateSampler`: no RNG consumed,
+    so ``audit_rate=0`` leaves seeded sample streams bit-identical
+    (parity-pinned) and any rate is reproducible under the manual-clock
+    test harness.
     """
 
     #: distinct catalog versions whose audit windows stay retained
@@ -778,7 +779,7 @@ class ResponseAuditor:
             raise ValueError(
                 f"canary_tolerance must be positive, got {canary_tolerance}"
             )
-        self.rate = float(audit_rate)
+        self._sampler = RateSampler(audit_rate)
         self.window = int(window)
         self.canary_min_audits = int(canary_min_audits)
         self.canary_tolerance = float(canary_tolerance)
@@ -788,7 +789,6 @@ class ResponseAuditor:
         self._slo_tracker = slo_tracker
         self._alert_sink = alert_sink
         self._lock = threading.Lock()
-        self._credit = 0.0
         self._audited_total = 0
         self._label_cache: dict[tuple, tuple] = {}
         self._windows: dict[int, _VersionWindows] = {}
@@ -845,21 +845,10 @@ class ResponseAuditor:
             buckets=list(range(1, 33)),
         )
 
-    # ------------------------------------------------------------- sampling
-    def _take_credit(self) -> bool:
-        """The deterministic credit accumulator (the trace sampler's
-        twin): at rate r exactly every 1/r-th response audits."""
-        rate = self.rate
-        if rate <= 0.0:
-            return False
-        if rate >= 1.0:
-            return True
-        with self._lock:
-            self._credit += rate
-            if self._credit >= 1.0:
-                self._credit -= 1.0
-                return True
-        return False
+    @property
+    def rate(self) -> float:
+        """The audit rate (fraction of served responses audited)."""
+        return self._sampler.rate
 
     def _labeled(self, mode: str, degraded: bool, version: int):
         """Resolved metric children for one label combination, cached —
@@ -910,7 +899,7 @@ class ResponseAuditor:
                     error=error,
                     degraded=degraded,
                 )
-            if not error and self._take_credit():
+            if not error and self._sampler.take():
                 audits.append((item.request, result))
         if audits:
             measurements = self._slate_measurements(audits, snapshot)

@@ -29,9 +29,10 @@ degradations, sheds, deadline failures, breaker transitions and
 publishes are additionally recorded into the bounded ring-buffer
 :class:`EventLog`.
 
-Sampling is deterministic — a credit accumulator, not an RNG — because
-consuming random numbers on the serving path would perturb the seeded
-sample streams the parity tests pin.
+Sampling is deterministic — a credit accumulator (:class:`RateSampler`,
+shared with slate auditing), not an RNG — because consuming random
+numbers on the serving path would perturb the seeded sample streams the
+parity tests pin.
 
 **RuntimeTelemetry** — the facade merging every scattered ``stats()``
 dict (scheduler, resilience, retrieval, faults, catalog) into one
@@ -237,6 +238,34 @@ class Trace:
             ],
             "annotations": dict(self.annotations),
         }
+
+
+class RateSampler:
+    """Deterministic credit accumulator shared by trace sampling and
+    slate auditing: at rate ``r`` exactly every ``1/r``-th :meth:`take`
+    returns ``True``.  No RNG is consumed, so the seeded sample streams
+    the parity tests pin are byte-identical whether sampling is on or
+    off; rate 0 never takes and rate 1 always does, both lock-free."""
+
+    __slots__ = ("rate", "_credit", "_lock")
+
+    def __init__(self, rate: float) -> None:
+        self.rate = float(rate)
+        self._credit = 0.0
+        self._lock = threading.Lock()
+
+    def take(self) -> bool:
+        rate = self.rate
+        if rate <= 0.0:
+            return False
+        if rate >= 1.0:
+            return True
+        with self._lock:
+            self._credit += rate
+            if self._credit >= 1.0:
+                self._credit -= 1.0
+                return True
+        return False
 
 
 class StageRecorder:

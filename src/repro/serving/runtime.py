@@ -34,16 +34,15 @@ factor generations.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..utils.metrics import MetricsRegistry
 from .catalog import ItemCatalog
-from .config import UNSET, ServingConfig, resolve_config
+from .config import ServingConfig
 from .health import (
     _STATUS_SEVERITY,
     DEGRADED,
@@ -54,7 +53,7 @@ from .health import (
     ResponseAuditor,
     SLOTracker,
 )
-from .observability import EventLog, RuntimeTelemetry, Trace
+from .observability import EventLog, RateSampler, RuntimeTelemetry, Trace
 from .profiling import (
     CapacityModel,
     FootprintReport,
@@ -91,40 +90,15 @@ class ServingRuntime:
         (``source`` / ``funnel_cache``, sharded catalogs only; an
         attached cache is invalidated eagerly by :meth:`publish`).
         :meth:`from_config` is the constructor-shaped spelling.
-
-    The pre-config kwargs (``max_batch=``, ``funnel_width=``, ...) still
-    work but emit :class:`DeprecationWarning`; combining them with
-    ``config=`` is an error.
     """
 
     def __init__(
         self,
         catalog: ItemCatalog | ShardedCatalog,
         server: KDPPServer | None = None,
-        max_batch: int = UNSET,
-        max_wait: float = UNSET,
-        workers: int = UNSET,
-        clock: Callable[[], float] = UNSET,
-        funnel_width: int = UNSET,
-        rerank_pool: int = UNSET,
-        source=UNSET,
-        funnel_cache=UNSET,
         config: ServingConfig | None = None,
     ) -> None:
-        config = resolve_config(
-            config,
-            {
-                "max_batch": max_batch,
-                "max_wait": max_wait,
-                "workers": workers,
-                "clock": clock,
-                "funnel_width": funnel_width,
-                "rerank_pool": rerank_pool,
-                "source": source,
-                "funnel_cache": funnel_cache,
-            },
-            type(self).__name__,
-        )
+        config = config if config is not None else ServingConfig()
         self.catalog = catalog
         self.config = config
         if server is None:
@@ -155,11 +129,7 @@ class ServingRuntime:
         self._telemetry = RuntimeTelemetry(
             self._registry, self._event_log, clock=clock
         )
-        # Deterministic trace sampling (credit accumulator — no RNG, so
-        # seeded sample streams are untouched; rate 0 short-circuits).
-        self._trace_rate = float(config.trace_rate)
-        self._trace_lock = threading.Lock()
-        self._trace_credit = 0.0
+        self._trace_sampler = RateSampler(config.trace_rate)
         self._fault_plan = config.fault_plan
         # Performance introspection (PR 10).  The capacity model always
         # observes engine batches (pure arithmetic, no serving-path
@@ -312,24 +282,8 @@ class ServingRuntime:
         item.pressure += 1 + (depth - cap) // cap
 
     def _maybe_trace(self) -> Trace | None:
-        """A fresh trace when this request is sampled, else ``None``.
-
-        Deterministic credit accumulator: at rate ``r`` exactly every
-        ``1/r``-th submission traces — no RNG is consumed, so the seeded
-        sample streams the parity tests pin are byte-identical whether
-        tracing is on or off.
-        """
-        rate = self._trace_rate
-        if rate <= 0.0:
-            return None
-        if rate >= 1.0:
-            return Trace(self._clock)
-        with self._trace_lock:
-            self._trace_credit += rate
-            if self._trace_credit >= 1.0:
-                self._trace_credit -= 1.0
-                return Trace(self._clock)
-        return None
+        """A fresh trace when the rate sampler picks this submission."""
+        return Trace(self._clock) if self._trace_sampler.take() else None
 
     # ------------------------------------------------------------------
     # Admission

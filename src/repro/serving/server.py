@@ -39,9 +39,11 @@ ids either way.
 Session-aware serving
 ---------------------
 Four request fields extend the model to multi-page sessions and
-constrained slates; all default to "off", and requests that leave them
-off are served through the exact pre-session code paths (bit-identical
-results, seeded samples included):
+constrained slates; all default to "off".  Requests with and without
+them share one group path per catalog layout (full catalog or candidate
+slice): history deflation, greedy seeds, pins and quotas apply only to
+the members that carry them, so a request gets the same slate whether
+it is served alone or beside session requests:
 
 * ``alpha`` — per-request diversity strength.  The effective quality is
   ``q_u^(1/alpha)``: ``alpha=1`` is the paper's Eq. 2 kernel, larger
@@ -95,14 +97,12 @@ from ..dpp.kdpp import (
 from ..dpp.kernels import LowRankKernel
 from ..dpp.map_inference import (
     batched_greedy_map_shared,
-    batched_greedy_map_shared_session,
     batched_greedy_map_stacked,
-    batched_greedy_map_stacked_session,
     greedy_map,
 )
 from ..utils.topk import top_k_indices
 from .catalog import CatalogSnapshot, ItemCatalog
-from .config import UNSET, ServingConfig, resolve_config
+from .config import ServingConfig
 from .observability import StageRecorder, stage_span
 
 __all__ = [
@@ -278,7 +278,7 @@ class Request:
 
     Session fields (see the module docstring for the semantics):
     ``alpha`` rescales quality to ``q_u^(1/alpha)`` (diversity strength;
-    1.0 is the neutral pre-session kernel), ``history`` conditions
+    1.0 is the paper's Eq. 2 kernel), ``history`` conditions
     already-shown items out of the kernel, ``pins`` force-includes items
     at the front of a MAP slate, and ``quotas`` (with the catalog-sized
     ``categories`` labeling) imposes per-category minimum counts on a
@@ -454,7 +454,8 @@ class Response:
 class _Resolved:
     """A validated request: zero-quality exclusions/history applied,
     alpha folded into the quality, topk-rerank lowered to MAP over an
-    explicit candidate slice."""
+    explicit candidate slice, and the history rows' orthonormal ``(r,
+    h')`` basis (the conditioning deflation directions) computed once."""
 
     index: int
     quality: np.ndarray  # catalog-sized effective quality (alpha applied)
@@ -467,38 +468,17 @@ class _Resolved:
     pins: np.ndarray | None = None
     quotas: Mapping[int, int] | None = None
     categories: np.ndarray | None = None
-
-    @property
-    def has_session(self) -> bool:
-        """True when the request needs the session serving paths.
-
-        ``alpha`` deliberately does not count: it only rescales the
-        quality vector, so alpha-only requests ride the original
-        (bit-stable) group paths.
-        """
-        return (
-            self.history is not None
-            or self.pins is not None
-            or bool(self.quotas)
-        )
+    history_basis: np.ndarray | None = None
 
 
 class KDPPServer:
-    """Batched k-DPP recommendation engine over one :class:`ItemCatalog`.
-
-    Configure with ``config=ServingConfig(...)``; the legacy
-    ``rerank_pool=`` kwarg still works but is deprecated.
-    """
+    """Batched k-DPP recommendation engine over one :class:`ItemCatalog`,
+    configured with ``config=ServingConfig(...)``."""
 
     def __init__(
-        self,
-        catalog: ItemCatalog,
-        rerank_pool: int = UNSET,
-        config: ServingConfig | None = None,
+        self, catalog: ItemCatalog, config: ServingConfig | None = None
     ) -> None:
-        self.config = resolve_config(
-            config, {"rerank_pool": rerank_pool}, type(self).__name__
-        )
+        self.config = config if config is not None else ServingConfig()
         self.catalog = catalog
         self.rerank_pool = self.config.rerank_pool
         # Unseeded requests draw from generators spawned off one entropy
@@ -617,6 +597,11 @@ class KDPPServer:
                 if request.quotas
                 else None
             ),
+            history_basis=(
+                None
+                if history is None
+                else _orthonormal_columns(snap.take_rows(history))
+            ),
         )
 
     def _request_rng(self, resolved: _Resolved) -> np.random.Generator:
@@ -656,28 +641,13 @@ class KDPPServer:
             ground = (
                 snap.num_items if item.candidates is None else item.candidates.shape[0]
             )
-            # Session requests (history/pins/quotas) are grouped apart
-            # from clean ones: clean groups run the original code paths
-            # verbatim, which is what keeps the default request shape
-            # bit-identical to pre-session serving.
-            key = (
-                item.candidates is None,
-                ground,
-                item.k,
-                item.mode,
-                item.has_session,
-            )
+            key = (item.candidates is None, ground, item.k, item.mode)
             groups.setdefault(key, []).append(item)
-        for (is_full, _, k, mode, has_session), members in groups.items():
-            if not has_session:
-                if is_full:
-                    self._serve_full_group(members, k, mode, responses, snap, stages)
-                else:
-                    self._serve_sliced_group(members, k, mode, responses, snap, stages)
-            elif is_full:
-                self._serve_full_session_group(members, k, mode, responses, snap, stages)
+        for (is_full, _, k, mode), members in groups.items():
+            if is_full:
+                self._serve_full_group(members, k, mode, responses, snap, stages)
             else:
-                self._serve_sliced_session_group(members, k, mode, responses, snap, stages)
+                self._serve_sliced_group(members, k, mode, responses, snap, stages)
         return responses  # type: ignore[return-value]
 
     def _log_normalizers(
@@ -746,25 +716,35 @@ class KDPPServer:
 
     def _group_spectra(
         self,
+        members: list[_Resolved],
         quality: np.ndarray,
         snap: CatalogSnapshot,
         stages: StageRecorder | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Dual spectra for a full-catalog request group.
 
-        Constant-quality requests (``q_u = c``) are served straight from
-        the catalog's version-cached spectrum — ``C_u = c² VᵀV``, so the
-        cached eigenvectors apply verbatim and the eigenvalues only
-        rescale.  Everything else goes through the batched dual build
-        (one matmul against the outer-product table) and one stacked
-        ``eigh`` over the non-uniform rows.
+        Constant-quality requests (``q_u = c``) with no history are
+        served straight from the catalog's version-cached spectrum —
+        ``C_u = c² VᵀV``, so the cached eigenvectors apply verbatim and
+        the eigenvalues only rescale.  The cached spectrum is
+        unconditioned, so it never serves a member with history.
+        Everything else goes through the batched dual build (one matmul
+        against the outer-product table), an O(r²h) per-member deflation
+        ``C̃ = (I-UUᵀ) C (I-UUᵀ)`` for history conditioning, and one
+        stacked ``eigh``.  The eigenvectors of ``C̃`` with positive
+        eigenvalues lie in the deflated subspace, so the unchanged
+        projector samplers draw from the conditional k-DPP as-is.
         """
         batch, _ = quality.shape
         rank = snap.rank
         uniform_scale = np.full(batch, -1.0)
-        for b in range(batch):
+        for b, member in enumerate(members):
             first = quality[b, 0]
-            if first > 0 and np.all(quality[b] == first):
+            if (
+                member.history is None
+                and first > 0
+                and np.all(quality[b] == first)
+            ):
                 uniform_scale[b] = first
         eigenvalues = np.empty((batch, rank))
         dual_vectors = np.empty((batch, rank, rank))
@@ -774,10 +754,18 @@ class KDPPServer:
             scales = uniform_scale[uniform]
             eigenvalues[uniform] = scales[:, None] ** 2 * cached_values
             dual_vectors[uniform] = cached_vectors
-        general = ~uniform
-        if np.any(general):
+        general = np.flatnonzero(~uniform)
+        if general.size:
             with stage_span(stages, "dual_build"):
                 duals = snap.build_duals(quality[general] ** 2)
+                for row, b in enumerate(general):
+                    basis = members[b].history_basis
+                    if basis is not None:
+                        correction = duals[row] @ basis
+                        duals[row] -= correction @ basis.T
+                        duals[row] -= basis @ (
+                            correction.T - (basis.T @ correction) @ basis.T
+                        )
             with stage_span(stages, "eigh"):
                 values, vectors = np.linalg.eigh(duals)
             eigenvalues[general] = np.clip(values, 0.0, None)
@@ -807,7 +795,9 @@ class KDPPServer:
     ) -> None:
         factors = snap.factors
         quality = np.stack([member.quality for member in members])
-        eigenvalues, dual_vectors = self._group_spectra(quality, snap, stages)
+        eigenvalues, dual_vectors = self._group_spectra(
+            members, quality, snap, stages
+        )
         with stage_span(stages, "normalizer"):
             log_normalizers = self._log_normalizers(eigenvalues, members, k, mode)
         with stage_span(stages, "selection"):
@@ -824,7 +814,10 @@ class KDPPServer:
                     gram_products=snap.gram_products(),
                 )
             else:
-                samples = batched_greedy_map_shared(factors, quality, k)
+                seeds, pins, quota = self._session_map_inputs(members, snap)
+                samples = batched_greedy_map_shared(
+                    factors, quality, k, seeds=seeds, pins=pins, quota=quota
+                )
         with stage_span(stages, "emit"):
             self._emit(
                 members, samples, log_normalizers, quality, None, k, responses, snap
@@ -839,207 +832,19 @@ class KDPPServer:
         snap: CatalogSnapshot,
         stages: StageRecorder | None = None,
     ) -> None:
+        """The candidate-slice group path.  Members with history get
+        their factor stack rows deflated against the history span
+        (``b̃_i = b_i(I - UUᵀ)``, the low-rank Schur complement of
+        conditioning); stacked duals, normalizers, projector sampling
+        and greedy MAP then run over the stack as-is."""
         with stage_span(stages, "dual_build"):
             candidates = np.stack([member.candidates for member in members])
             local_quality = np.stack(
                 [member.quality[member.candidates] for member in members]
             )
             stack = local_quality[:, :, None] * snap.take_rows(candidates)
-            duals = np.matmul(np.swapaxes(stack, 1, 2), stack)
-        with stage_span(stages, "eigh"):
-            eigenvalues, dual_vectors = np.linalg.eigh(duals)
-        eigenvalues = np.clip(eigenvalues, 0.0, None)
-        with stage_span(stages, "normalizer"):
-            log_normalizers = self._log_normalizers(eigenvalues, members, k, mode)
-        with stage_span(stages, "selection"):
-            if mode == "sample":
-                rngs = [self._request_rng(member) for member in members]
-                coefficients = self._phase1_coefficients(
-                    eigenvalues, dual_vectors, k, rngs
-                )
-                bases = np.matmul(stack, coefficients)
-                samples = batched_sample_elementary_stacked(bases, rngs)
-            else:
-                samples = batched_greedy_map_stacked(stack, k)
-        with stage_span(stages, "emit"):
-            self._emit(
-                members, samples, log_normalizers, None, stack, k, responses, snap
-            )
-
-    # ------------------------------------------------------------------
-    # Session serving (history conditioning, pins, quotas)
-    # ------------------------------------------------------------------
-    def _session_units(
-        self, history: np.ndarray | None, snap: CatalogSnapshot
-    ) -> np.ndarray | None:
-        """Orthonormal ``(r, h')`` basis of the history rows' span (the
-        deflation directions of the conditioned kernel), or ``None``."""
-        if history is None:
-            return None
-        return _orthonormal_columns(snap.take_rows(history))
-
-    def _local_pins(self, member: _Resolved) -> np.ndarray | None:
-        """The member's pins as local ground-set ids (positions inside
-        its candidate slice when one exists, catalog ids otherwise)."""
-        if member.pins is None:
-            return None
-        if member.candidates is None:
-            return member.pins
-        position = {int(item): i for i, item in enumerate(member.candidates)}
-        return np.array(
-            [position[int(pin)] for pin in member.pins], dtype=np.int64
-        )
-
-    def _session_map_inputs(
-        self,
-        members: list[_Resolved],
-        units: list[np.ndarray | None],
-        snap: CatalogSnapshot,
-        stack: np.ndarray | None,
-    ) -> tuple[np.ndarray | None, list, list | None]:
-        """Assemble the constrained-greedy inputs for one session group:
-        zero-padded seed directions, per-member local pins and quota
-        specs.
-
-        On the full-catalog path (``stack=None``) each member's seeds
-        span its history *and* pin rows (both from the shared factors);
-        on the sliced path the stack rows are already history-deflated,
-        so the seeds span only the (deflated) pinned rows.
-        """
-        bases: list[np.ndarray | None] = []
-        pins: list[np.ndarray | None] = []
-        quota: list[tuple | None] = []
-        any_quota = False
-        for b, member in enumerate(members):
-            local_pins = self._local_pins(member)
-            pins.append(local_pins)
-            if stack is None:
-                rows = []
-                if member.history is not None:
-                    rows.append(snap.take_rows(member.history))
-                if member.pins is not None:
-                    rows.append(snap.take_rows(member.pins))
-                basis = (
-                    _orthonormal_columns(np.concatenate(rows)) if rows else None
-                )
-            elif local_pins is not None:
-                basis = _orthonormal_columns(stack[b, local_pins])
-            else:
-                basis = None
-            bases.append(basis)
-            if member.quotas:
-                categories = member.categories
-                if member.candidates is not None:
-                    categories = categories[member.candidates]
-                quota.append((categories, member.quotas))
-                any_quota = True
-            else:
-                quota.append(None)
-        widths = [0 if basis is None else basis.shape[1] for basis in bases]
-        seeds = None
-        if any(widths):
-            seeds = np.zeros(
-                (len(members), max(widths), snap.rank), dtype=np.float64
-            )
-            for b, basis in enumerate(bases):
-                if basis is not None:
-                    seeds[b, : basis.shape[1]] = basis.T
-        return seeds, pins, (quota if any_quota else None)
-
-    def _serve_full_session_group(
-        self,
-        members: list[_Resolved],
-        k: int,
-        mode: str,
-        responses: list,
-        snap: CatalogSnapshot,
-        stages: StageRecorder | None = None,
-    ) -> None:
-        """The full-catalog group path for session requests.
-
-        One shared batched dual build exactly like the clean path, plus
-        an O(r²h) per-member deflation ``C̃ = (I-UUᵀ) C (I-UUᵀ)`` for
-        history conditioning — the eigenvectors of ``C̃`` with positive
-        eigenvalues lie in the deflated subspace, so the unchanged
-        projector samplers draw from the conditional k-DPP as-is.
-        """
-        factors = snap.factors
-        quality = np.stack([member.quality for member in members])
-        with stage_span(stages, "dual_build"):
-            units = [
-                self._session_units(member.history, snap) for member in members
-            ]
-            duals = snap.build_duals(quality**2)
-            for b, basis in enumerate(units):
-                if basis is not None:
-                    correction = duals[b] @ basis
-                    duals[b] -= correction @ basis.T
-                    duals[b] -= basis @ (
-                        correction.T - (basis.T @ correction) @ basis.T
-                    )
-        with stage_span(stages, "eigh"):
-            values, vectors = np.linalg.eigh(duals)
-        eigenvalues = np.clip(values, 0.0, None)
-        with stage_span(stages, "normalizer"):
-            log_normalizers = self._log_normalizers(eigenvalues, members, k, mode)
-        with stage_span(stages, "selection"):
-            if mode == "sample":
-                rngs = [self._request_rng(member) for member in members]
-                coefficients = self._phase1_coefficients(
-                    eigenvalues, vectors, k, rngs
-                )
-                samples = batched_sample_elementary_shared(
-                    factors,
-                    quality,
-                    coefficients,
-                    rngs,
-                    gram_products=snap.gram_products(),
-                )
-            else:
-                seeds, pins, quota = self._session_map_inputs(
-                    members, units, snap, stack=None
-                )
-                samples = batched_greedy_map_shared_session(
-                    factors, quality, k, seeds=seeds, pins=pins, quota=quota
-                )
-        with stage_span(stages, "emit"):
-            self._emit(
-                members,
-                samples,
-                log_normalizers,
-                quality,
-                None,
-                k,
-                responses,
-                snap,
-                units=units,
-            )
-
-    def _serve_sliced_session_group(
-        self,
-        members: list[_Resolved],
-        k: int,
-        mode: str,
-        responses: list,
-        snap: CatalogSnapshot,
-        stages: StageRecorder | None = None,
-    ) -> None:
-        """The candidate-slice group path for session requests: the
-        per-request factor stack rows are deflated against the history
-        span (``b̃_i = b_i(I - UUᵀ)``, the low-rank Schur complement of
-        conditioning), then the clean sliced machinery — stacked duals,
-        normalizers, projector sampling — applies verbatim; constrained
-        MAP runs the session greedy over the deflated stack."""
-        with stage_span(stages, "dual_build"):
-            candidates = np.stack([member.candidates for member in members])
-            local_quality = np.stack(
-                [member.quality[member.candidates] for member in members]
-            )
-            stack = local_quality[:, :, None] * snap.take_rows(candidates)
-            units = [
-                self._session_units(member.history, snap) for member in members
-            ]
-            for b, basis in enumerate(units):
+            for b, member in enumerate(members):
+                basis = member.history_basis
                 if basis is not None:
                     stack[b] -= (stack[b] @ basis) @ basis.T
             duals = np.matmul(np.swapaxes(stack, 1, 2), stack)
@@ -1058,15 +863,90 @@ class KDPPServer:
                 samples = batched_sample_elementary_stacked(bases, rngs)
             else:
                 seeds, pins, quota = self._session_map_inputs(
-                    members, units, snap, stack=stack
+                    members, snap, stack=stack
                 )
-                samples = batched_greedy_map_stacked_session(
+                samples = batched_greedy_map_stacked(
                     stack, k, seeds=seeds, pins=pins, quota=quota
                 )
         with stage_span(stages, "emit"):
             self._emit(
                 members, samples, log_normalizers, None, stack, k, responses, snap
             )
+
+    # ------------------------------------------------------------------
+    # Constrained greedy MAP inputs (history seeds, pins, quotas)
+    # ------------------------------------------------------------------
+    def _local_pins(self, member: _Resolved) -> np.ndarray | None:
+        """The member's pins as local ground-set ids (positions inside
+        its candidate slice when one exists, catalog ids otherwise)."""
+        if member.pins is None:
+            return None
+        if member.candidates is None:
+            return member.pins
+        position = {int(item): i for i, item in enumerate(member.candidates)}
+        return np.array(
+            [position[int(pin)] for pin in member.pins], dtype=np.int64
+        )
+
+    def _session_map_inputs(
+        self,
+        members: list[_Resolved],
+        snap: CatalogSnapshot,
+        stack: np.ndarray | None = None,
+    ) -> tuple[np.ndarray | None, list | None, list | None]:
+        """The greedy driver's ``seeds`` / ``pins`` / ``quota`` for one
+        MAP group: zero-padded seed directions, per-member local pins
+        and quota specs, each ``None`` when no member needs it.
+
+        On the full-catalog path (``stack=None``) each member's seeds
+        span its history *and* pin rows (both from the shared factors);
+        on the sliced path the stack rows are already history-deflated,
+        so the seeds span only the (deflated) pinned rows.
+        """
+        if not any(
+            member.pins is not None
+            or member.quotas
+            or (stack is None and member.history_basis is not None)
+            for member in members
+        ):
+            return None, None, None
+        bases: list[np.ndarray | None] = []
+        pins: list[np.ndarray | None] = []
+        quota: list[tuple | None] = []
+        for b, member in enumerate(members):
+            local_pins = self._local_pins(member)
+            pins.append(local_pins)
+            if local_pins is None:
+                basis = member.history_basis if stack is None else None
+            elif stack is not None:
+                basis = _orthonormal_columns(stack[b, local_pins])
+            else:
+                rows = [snap.take_rows(member.pins)]
+                if member.history is not None:
+                    rows.insert(0, snap.take_rows(member.history))
+                basis = _orthonormal_columns(np.concatenate(rows))
+            bases.append(basis)
+            if member.quotas:
+                categories = member.categories
+                if member.candidates is not None:
+                    categories = categories[member.candidates]
+                quota.append((categories, member.quotas))
+            else:
+                quota.append(None)
+        widths = [0 if basis is None else basis.shape[1] for basis in bases]
+        seeds = None
+        if any(widths):
+            seeds = np.zeros(
+                (len(members), max(widths), snap.rank), dtype=np.float64
+            )
+            for b, basis in enumerate(bases):
+                if basis is not None:
+                    seeds[b, : basis.shape[1]] = basis.T
+        return (
+            seeds,
+            pins if any(p is not None for p in pins) else None,
+            quota if any(q is not None for q in quota) else None,
+        )
 
     def _emit(
         self,
@@ -1078,16 +958,14 @@ class KDPPServer:
         k: int,
         responses: list,
         snap: CatalogSnapshot,
-        units: list | None = None,
     ) -> None:
         """Attach log-probabilities and map local picks to catalog ids.
 
-        ``units`` (full-catalog session groups only) carries per-member
-        history deflation bases: selected rows are deflated before the
-        stacked ``slogdet`` so reported probabilities are those of the
-        history-*conditioned* kernel, matching the conditioned
-        normalizers.  Sliced session groups pass an already-deflated
-        ``stack`` instead.
+        On the full-catalog path (``stack=None``) the selected rows of
+        members with history are deflated by their history basis before
+        the stacked ``slogdet``, so reported probabilities are those of
+        the history-*conditioned* kernel, matching the conditioned
+        normalizers.  Sliced groups pass an already-deflated ``stack``.
         """
         complete = [
             b
@@ -1096,21 +974,17 @@ class KDPPServer:
         ]
         log_probabilities: dict[int, float] = {}
         if complete:
+            picks = np.array([samples[b] for b in complete], dtype=np.int64)
             if stack is None:
-                picks = np.array([samples[b] for b in complete], dtype=np.int64)
                 rows = snap.factors[picks] * quality[complete][
                     np.arange(len(complete))[:, None], picks
                 ][:, :, None]
-                if units is not None:
-                    for j, b in enumerate(complete):
-                        basis = units[b]
-                        if basis is not None:
-                            rows[j] -= (rows[j] @ basis) @ basis.T
+                for j, b in enumerate(complete):
+                    basis = members[b].history_basis
+                    if basis is not None:
+                        rows[j] -= (rows[j] @ basis) @ basis.T
             else:
-                picks = np.array([samples[b] for b in complete], dtype=np.int64)
-                rows = stack[
-                    np.asarray(complete)[:, None], picks
-                ]
+                rows = stack[np.asarray(complete)[:, None], picks]
             values = self._group_log_probabilities(rows, log_normalizers[complete])
             log_probabilities = dict(zip(complete, values))
         for b, member in enumerate(members):
@@ -1155,7 +1029,7 @@ class KDPPServer:
                     member.quality[member.candidates][:, None]
                     * snap.take_rows(member.candidates)
                 )
-            basis = self._session_units(member.history, snap)
+            basis = member.history_basis
             if basis is not None:
                 # Primal deflation — deliberately a different route than
                 # the batched dual deflation, so the two paths cross-
@@ -1182,7 +1056,7 @@ class KDPPServer:
                         if member.candidates is not None:
                             categories = categories[member.candidates]
                         quota = [(categories, member.quotas)]
-                    local = batched_greedy_map_stacked_session(
+                    local = batched_greedy_map_stacked(
                         factors[None],
                         member.k,
                         seeds=seeds,

@@ -61,11 +61,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..retrieval import CandidateSource, ExactTopK, FunnelCache
+from ..retrieval import ExactTopK
 from ..retrieval.cache import session_token
 from ..utils.topk import top_k_indices
 from .catalog import CatalogSnapshot, VersionedExtensions
-from .config import UNSET, ServingConfig, resolve_config
+from .config import ServingConfig
 from .observability import StageRecorder, stage_span
 from .server import (
     KDPPServer,
@@ -243,10 +243,11 @@ class ShardedKDPPServer(KDPPServer):
     result over the pool is an exact k-DPP draw / greedy MAP, bit-equal
     to a monolithic :class:`KDPPServer` handed the same pool.
 
-    ``funnel_width`` is the per-shard candidate budget (clipped to the
-    shard size; at least ``k`` is always taken).  ``topk-rerank``
-    requests funnel per-shard top-``rerank_pool`` and then keep the
-    exact global top-``rerank_pool`` of the union — per-shard top-N
+    Configured by ``config=ServingConfig(...)``: ``funnel_width`` is
+    the per-shard candidate budget (clipped to the shard size; at least
+    ``k`` is always taken).  ``topk-rerank`` requests funnel per-shard
+    top-``rerank_pool`` and then keep the exact global
+    top-``rerank_pool`` of the union — per-shard top-N
     contains global top-N, so for tie-free qualities the rerank pool
     matches the monolithic server's item for item (exact ties at the
     cutoff may resolve to different, equally-ranked members).  With an
@@ -261,25 +262,10 @@ class ShardedKDPPServer(KDPPServer):
     """
 
     def __init__(
-        self,
-        catalog: ShardedCatalog,
-        funnel_width: int = UNSET,
-        rerank_pool: int = UNSET,
-        source: CandidateSource | None = UNSET,
-        funnel_cache: FunnelCache | None = UNSET,
-        config: ServingConfig | None = None,
+        self, catalog: ShardedCatalog, config: ServingConfig | None = None
     ) -> None:
-        config = resolve_config(
-            config,
-            {
-                "funnel_width": funnel_width,
-                "rerank_pool": rerank_pool,
-                "source": source,
-                "funnel_cache": funnel_cache,
-            },
-            type(self).__name__,
-        )
         super().__init__(catalog, config=config)  # type: ignore[arg-type]
+        config = self.config
         self.funnel_width = config.funnel_width
         self.source = config.source if config.source is not None else ExactTopK()
         self.funnel_cache = config.funnel_cache

@@ -35,6 +35,7 @@ from repro.serving import (
     ItemCatalog,
     KDPPServer,
     Request,
+    ServingConfig,
     ServingRuntime,
     ShardedCatalog,
     ShardedKDPPServer,
@@ -153,7 +154,9 @@ def test_exact_source_serves_identical_seeded_samples_to_prerefactor_funnel():
     for draw."""
     factors = _factors(4, 600, 8)
     catalog = ShardedCatalog(factors, num_shards=5)
-    server = ShardedKDPPServer(catalog, funnel_width=12, source=ExactTopK())
+    server = ShardedKDPPServer(
+        catalog, config=ServingConfig(funnel_width=12, source=ExactTopK())
+    )
     mono = KDPPServer(ItemCatalog(factors))
     quality = _quality_batch(4, 6, 600)
     requests = [
@@ -234,9 +237,12 @@ def test_quantile_end_to_end_seeded_samples_match_exact_source():
         Request(quality=quality[b], k=5, mode="sample", seed=800 + b)
         for b in range(6)
     ]
-    exact_server = ShardedKDPPServer(catalog, funnel_width=24)
+    exact_server = ShardedKDPPServer(
+        catalog, config=ServingConfig(funnel_width=24)
+    )
     quantile_server = ShardedKDPPServer(
-        catalog, funnel_width=24, source=QuantileFunnel(seed=1)
+        catalog,
+        config=ServingConfig(funnel_width=24, source=QuantileFunnel(seed=1)),
     )
     exact_responses = exact_server.serve(requests)
     quantile_responses = quantile_server.serve(requests)
@@ -312,7 +318,10 @@ def test_ivf_end_to_end_through_sharded_server():
     factors, quality = _clustered_world(23, 4000, 10, batch=6)
     catalog = ShardedCatalog(factors, num_shards=2)
     server = ShardedKDPPServer(
-        catalog, funnel_width=20, source=IVFIndex(seed=3, kmeans_iters=3)
+        catalog,
+        config=ServingConfig(
+            funnel_width=20, source=IVFIndex(seed=3, kmeans_iters=3)
+        ),
     )
     requests = [
         Request(quality=quality[b], k=5, mode=("sample", "map")[b % 2], seed=b)
@@ -381,7 +390,10 @@ def test_server_reuses_cached_funnel_for_repeat_users():
     catalog = ShardedCatalog(factors, num_shards=3)
     cache = FunnelCache()
     server = ShardedKDPPServer(
-        catalog, funnel_width=16, source=QuantileFunnel(seed=4), funnel_cache=cache
+        catalog,
+        config=ServingConfig(
+            funnel_width=16, source=QuantileFunnel(seed=4), funnel_cache=cache
+        ),
     )
     quality = _quality_batch(34, 4, 3000)
     requests = [
@@ -414,7 +426,10 @@ def test_funnel_cache_keys_on_exclusions():
     catalog = ShardedCatalog(factors, num_shards=3)
     cache = FunnelCache()
     server = ShardedKDPPServer(
-        catalog, funnel_width=16, source=ExactTopK(), funnel_cache=cache
+        catalog,
+        config=ServingConfig(
+            funnel_width=16, source=ExactTopK(), funnel_cache=cache
+        ),
     )
     quality = _quality_batch(40, 1, 3000)[0]
     plain = Request(quality=quality, k=4, mode="map", user=5)
@@ -446,13 +461,15 @@ def test_runtime_publish_invalidates_funnel_cache():
 
     with ServingRuntime(
         catalog,
-        workers=0,
-        max_batch=8,
-        max_wait=0.0,
-        clock=ManualClock(),
-        funnel_width=12,
-        source=QuantileFunnel(seed=6),
-        funnel_cache=cache,
+        config=ServingConfig(
+            workers=0,
+            max_batch=8,
+            max_wait=0.0,
+            clock=ManualClock(),
+            funnel_width=12,
+            source=QuantileFunnel(seed=6),
+            funnel_cache=cache,
+        ),
     ) as runtime:
         quality = _quality_batch(35, 2, 2000)
         future = runtime.submit(
@@ -477,11 +494,16 @@ def test_runtime_publish_invalidates_funnel_cache():
 def test_runtime_rejects_source_for_monolithic_catalog():
     factors = _factors(37, 200, 5)
     with pytest.raises(ValueError, match="sharded"):
-        ServingRuntime(ItemCatalog(factors), workers=0, source=ExactTopK())
+        ServingRuntime(
+            ItemCatalog(factors),
+            config=ServingConfig(workers=0, source=ExactTopK()),
+        )
     server = KDPPServer(ItemCatalog(factors))
     with pytest.raises(ValueError, match="not both"):
         ServingRuntime(
-            ItemCatalog(factors), server=server, workers=0, source=ExactTopK()
+            ItemCatalog(factors),
+            server=server,
+            config=ServingConfig(workers=0, source=ExactTopK()),
         )
 
 
@@ -494,7 +516,9 @@ def test_bridge_forwards_source_and_stamps_user_ids():
     model = MFRecommender(4, 600, dim=8, rng=0)
     cache = FunnelCache()
     bridge = RecommenderBridge(
-        model, catalog, source=QuantileFunnel(seed=8), funnel_cache=cache
+        model,
+        catalog,
+        config=ServingConfig(source=QuantileFunnel(seed=8), funnel_cache=cache),
     )
     assert isinstance(bridge.server.source, QuantileFunnel)
     request = bridge.build_request(2, k=4)
@@ -507,7 +531,10 @@ def test_bridge_forwards_source_and_stamps_user_ids():
     assert all(len(response.items) == 4 for response in first)
     with pytest.raises(ValueError, match="not both"):
         RecommenderBridge(
-            model, catalog, server=bridge.server, source=QuantileFunnel()
+            model,
+            catalog,
+            server=bridge.server,
+            config=ServingConfig(source=QuantileFunnel()),
         )
 
 
@@ -521,12 +548,14 @@ def test_funnel_cache_thread_safety_under_concurrent_submits():
     quality = _quality_batch(39, 8, 3000)
     with ServingRuntime(
         catalog,
-        workers=2,
-        max_batch=8,
-        max_wait=0.001,
-        funnel_width=16,
-        source=QuantileFunnel(seed=9),
-        funnel_cache=cache,
+        config=ServingConfig(
+            workers=2,
+            max_batch=8,
+            max_wait=0.001,
+            funnel_width=16,
+            source=QuantileFunnel(seed=9),
+            funnel_cache=cache,
+        ),
     ) as runtime:
         futures = []
         futures_lock = threading.Lock()

@@ -22,6 +22,7 @@ from repro.serving import (
     KDPPServer,
     MicroBatcher,
     Request,
+    ServingConfig,
     ServingRuntime,
     ShardedCatalog,
     ShardedKDPPServer,
@@ -101,7 +102,7 @@ def test_sharded_validation():
     with pytest.raises(ValueError, match="item axis"):
         catalog.publish(_factors(5, 39, 4))
     with pytest.raises(ValueError, match="funnel_width"):
-        ShardedKDPPServer(catalog, funnel_width=0)
+        ServingConfig(funnel_width=0)
     server = ShardedKDPPServer(catalog)
     with pytest.raises(ValueError, match="quality shape"):
         server.serve([Request(quality=np.ones(3), k=2)])
@@ -119,7 +120,7 @@ def funnel_world():
     return (
         factors,
         sharded,
-        ShardedKDPPServer(sharded, funnel_width=12),
+        ShardedKDPPServer(sharded, config=ServingConfig(funnel_width=12)),
         KDPPServer(ItemCatalog(factors)),
     )
 
@@ -179,7 +180,9 @@ def test_sharded_rerank_matches_monolithic_full_catalog(funnel_world):
 def test_sharded_full_width_funnel_equals_whole_catalog(funnel_world):
     factors, _, _, mono = funnel_world
     sharded = ShardedCatalog(factors, num_shards=5)
-    wide = ShardedKDPPServer(sharded, funnel_width=factors.shape[0])
+    wide = ShardedKDPPServer(
+        sharded, config=ServingConfig(funnel_width=factors.shape[0])
+    )
     quality = _quality_batch(13, 3, factors.shape[0])
     for b in range(3):
         request = Request(quality=quality[b], k=4, mode="sample", seed=900 + b)
@@ -372,8 +375,8 @@ def test_runtime_inflight_requests_keep_admission_version(runtime_world):
     factors, quality = runtime_world
     catalog = ItemCatalog(factors)
     clock = ManualClock()
-    with ServingRuntime(catalog, workers=0, max_batch=64, max_wait=1.0,
-                        clock=clock) as runtime:
+    with ServingRuntime(catalog, config=ServingConfig(
+            workers=0, max_batch=64, max_wait=1.0, clock=clock)) as runtime:
         old_snapshot = catalog.snapshot()
         inflight = runtime.submit(Request(quality=quality[0], k=3, mode="sample",
                                           seed=77))
@@ -401,8 +404,9 @@ def test_runtime_inflight_requests_keep_admission_version(runtime_world):
 def test_runtime_spectra_built_exactly_once_per_version(runtime_world):
     factors, _ = runtime_world
     catalog = ItemCatalog(factors)
-    with ServingRuntime(catalog, workers=0, max_batch=64, max_wait=0.0,
-                        clock=ManualClock()) as runtime:
+    with ServingRuntime(catalog, config=ServingConfig(
+            workers=0, max_batch=64, max_wait=0.0,
+            clock=ManualClock())) as runtime:
         uniform = np.ones(factors.shape[0])
         snapshot_v0 = catalog.snapshot()
         for _ in range(3):  # repeated uniform-quality batches share one eigh
@@ -428,8 +432,9 @@ def test_runtime_threaded_hot_swap_under_traffic(runtime_world):
     factors, quality = runtime_world
     catalog = ShardedCatalog(factors, num_shards=3)
     generations = [factors, _factors(23, *factors.shape), _factors(24, *factors.shape)]
-    with ServingRuntime(catalog, workers=2, max_batch=8, max_wait=0.001,
-                        funnel_width=10) as runtime:
+    with ServingRuntime(catalog, config=ServingConfig(
+            workers=2, max_batch=8, max_wait=0.001,
+            funnel_width=10)) as runtime:
         futures = []
         for wave, generation in enumerate(generations):
             if wave:
@@ -450,8 +455,8 @@ def test_runtime_threaded_hot_swap_under_traffic(runtime_world):
 
 def test_runtime_serve_now_and_stats(runtime_world):
     factors, quality = runtime_world
-    with ServingRuntime(ItemCatalog(factors), workers=0,
-                        clock=ManualClock()) as runtime:
+    with ServingRuntime(ItemCatalog(factors), config=ServingConfig(
+            workers=0, clock=ManualClock())) as runtime:
         responses = runtime.serve_now(
             [Request(quality=quality[b], k=2, mode="map") for b in range(3)]
         )
@@ -469,8 +474,9 @@ def test_runtime_microbatching_beats_sequential_semantics(runtime_world):
     factors, quality = runtime_world
     catalog = ItemCatalog(factors)
     server = KDPPServer(catalog)
-    with ServingRuntime(catalog, server=server, workers=0, max_batch=64,
-                        max_wait=0.0, clock=ManualClock()) as runtime:
+    with ServingRuntime(catalog, server=server, config=ServingConfig(
+            workers=0, max_batch=64, max_wait=0.0,
+            clock=ManualClock())) as runtime:
         requests = [
             Request(quality=quality[b], k=3, mode="sample", seed=300 + b)
             for b in range(6)
@@ -503,8 +509,9 @@ def test_runtime_sharded_end_to_end():
     quality = _quality_batch(30, 12, 2000)
     catalog = ShardedCatalog(factors, num_shards=8)
     mono = KDPPServer(ItemCatalog(factors))
-    with ServingRuntime(catalog, workers=0, max_batch=4, max_wait=0.0,
-                        clock=ManualClock(), funnel_width=16) as runtime:
+    with ServingRuntime(catalog, config=ServingConfig(
+            workers=0, max_batch=4, max_wait=0.0,
+            clock=ManualClock(), funnel_width=16)) as runtime:
         futures = [
             runtime.submit(
                 Request(quality=quality[b], k=5, mode="sample", seed=2000 + b)

@@ -31,6 +31,7 @@ from repro.serving import (
     KDPPServer,
     RecommenderBridge,
     Request,
+    ServingConfig,
     quality_from_scores,
 )
 from repro.utils.topk import top_k_indices
@@ -210,16 +211,20 @@ def test_batched_shared_elementary_sampler_matches_reference():
 
 
 def test_batched_greedy_map_matches_per_request():
-    m, r, batch, k = 60, 6, 8, 5
-    factors = _factors(8, m, r)
-    quality = _quality_batch(8, batch, m)
-    shared = batched_greedy_map_shared(factors, quality, k)
-    stack = quality[:, :, None] * factors[None]
-    stacked = batched_greedy_map_stacked(stack, k)
-    for b in range(batch):
-        reference = greedy_map(LowRankKernel(quality[b][:, None] * factors), k)
-        assert shared[b] == reference
-        assert stacked[b] == reference
+    # A small seeded sweep of (M, r, B, k), the first case being the
+    # original fixed shape.
+    sweep = [(8, 60, 6, 8, 5), (10, 12, 3, 1, 3), (11, 45, 16, 5, 9),
+             (12, 200, 32, 3, 10), (13, 30, 8, 16, 1)]
+    for seed, m, r, batch, k in sweep:
+        factors = _factors(seed, m, r)
+        quality = _quality_batch(seed, batch, m)
+        shared = batched_greedy_map_shared(factors, quality, k)
+        stack = quality[:, :, None] * factors[None]
+        stacked = batched_greedy_map_stacked(stack, k)
+        for b in range(batch):
+            reference = greedy_map(LowRankKernel(quality[b][:, None] * factors), k)
+            assert shared[b] == reference, (m, r, batch, k, b)
+            assert stacked[b] == reference, (m, r, batch, k, b)
 
 
 def test_batched_greedy_map_early_stop_matches():
@@ -400,8 +405,8 @@ def test_server_request_validation(world):
         server.serve(
             [Request(quality=good, k=2, mode="topk-rerank", candidates=np.arange(5))]
         )
-    with pytest.raises(ValueError):
-        KDPPServer(catalog, rerank_pool=0)
+    with pytest.raises(ValueError, match="rerank_pool"):
+        ServingConfig(rerank_pool=0)
 
 
 def test_server_uniform_quality_served_from_cached_spectrum(world):

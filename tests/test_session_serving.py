@@ -2,10 +2,11 @@
 
 Three contracts are pinned here:
 
-1. **Bit-parity off-switch** — requests that leave every session field
-   at its default (``alpha=1``, no history, no pins/quotas) are served
-   through the exact pre-session code paths: identical items, identical
-   seeded samples, identical ``log_probability`` floats.
+1. **Off-switch parity** — spelling every session field at its
+   default (``alpha=1``, no history, no pins/quotas) changes nothing:
+   identical items, seeded samples and ``log_probability`` floats.  One
+   group path per catalog layout serves clean and session requests
+   together, and each member gets the slate it gets when served alone.
 2. **Conditioning math** — the batched dual deflation (``C̃ = PCP``)
    and the sequential primal deflation (``B̃ = B(I − UUᵀ)``) are two
    different routes to the same conditional kernel; both must agree
@@ -35,7 +36,6 @@ from repro.serving import (
     ShardedCatalog,
     ShardedKDPPServer,
 )
-from repro.serving.config import resolve_config
 from repro.serving.server import extend_pool_for_constraints
 from repro.utils.topk import top_k_indices
 
@@ -380,6 +380,119 @@ def test_pins_and_quotas_compose():
 
 
 # ----------------------------------------------------------------------
+# One group path per catalog layout
+# ----------------------------------------------------------------------
+def _mixed_map_batch(quality_seed: int, m: int, candidates=None):
+    """Clean, history, pinned and quota'd MAP requests that share one
+    (layout, ground size, k, mode) group key."""
+    categories = np.arange(m) % 4
+    base = dict(k=4, mode="map", candidates=candidates)
+    pins = [13, 28] if candidates is not None else [17, 33]
+    return [
+        Request(quality=_quality(quality_seed, m), **base),
+        Request(quality=_quality(quality_seed + 1, m), history=[5, 12], **base),
+        Request(quality=_quality(quality_seed + 2, m), pins=pins, **base),
+        Request(
+            quality=_quality(quality_seed + 3, m),
+            quotas={2: 2},
+            categories=categories,
+            **base,
+        ),
+        Request(
+            quality=_quality(quality_seed + 4, m),
+            history=[1, 9],
+            pins=[pins[0]],
+            quotas={1: 1},
+            categories=categories,
+            **base,
+        ),
+        Request(quality=np.full(m, 0.8), **base),
+    ]
+
+
+@pytest.mark.parametrize("sliced", [False, True])
+def test_mixed_session_batch_matches_requests_served_alone(sliced, monkeypatch):
+    import repro.serving.server as server_module
+
+    factors = _factors(50, 64, 9)
+    server = KDPPServer(ItemCatalog(factors))
+    candidates = np.arange(10, 50) if sliced else None
+    requests = _mixed_map_batch(51, 64, candidates)
+    name = "batched_greedy_map_stacked" if sliced else "batched_greedy_map_shared"
+    driver = getattr(server_module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return driver(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, name, counting)
+    together = server.serve(requests)
+    # One driver call serves the whole mixed group.
+    assert calls == [name]
+    for request, response in zip(requests, together):
+        alone = server.serve([request])[0]
+        assert response.items == alone.items
+        assert response.log_probability == pytest.approx(
+            alone.log_probability, abs=1e-9
+        )
+        if np.ptp(request.quality) > 0:  # uniform quality ties exactly
+            sequential = server.serve_sequential([request])[0]
+            assert response.items == sequential.items
+
+
+def test_conditioned_constant_quality_sample_skips_cached_spectrum():
+    factors = _factors(52, 50, 8)
+    server = KDPPServer(ItemCatalog(factors))
+    flat = np.full(50, 1.3)
+    requests = [
+        Request(quality=flat, k=3, mode="sample", seed=5),
+        Request(quality=flat, k=3, mode="sample", seed=6, history=[4, 20]),
+        Request(quality=_quality(53, 50), k=3, mode="sample", seed=7, history=[2]),
+    ]
+    batched = server.serve(requests)
+    sequential = server.serve_sequential(requests)
+    for got, want in zip(batched, sequential):
+        assert got.items == want.items
+        assert got.log_probability == pytest.approx(want.log_probability, abs=1e-9)
+    oracle = LowRankKernel(_deflated_factors(factors, flat, [4, 20]))
+    manual = KDPP.from_factors(oracle, 3).sample(np.random.default_rng(6))
+    assert batched[1].items == list(manual)
+
+
+def test_shared_and_stacked_drivers_agree_under_pins_and_quotas():
+    from repro.dpp import batched_greedy_map_shared, batched_greedy_map_stacked
+
+    rng = np.random.default_rng(54)
+    m, r, batch, k = 40, 7, 4, 5
+    factors = _factors(54, m, r)
+    quality = np.exp(rng.normal(scale=0.5, size=(batch, m)))
+    categories = np.arange(m) % 3
+    pins = [np.array([6]), None, np.array([2, 31]), None]
+    quota = [(categories, {1: 2}), None, (categories, {0: 1, 2: 2}), None]
+    seeds = np.zeros((batch, 2, r))
+    for b, pinned in enumerate(pins):
+        if pinned is not None:
+            rows = quality[b, pinned][:, None] * factors[pinned]
+            basis, _ = np.linalg.qr(rows.T)
+            seeds[b, : basis.shape[1]] = basis.T
+    shared = batched_greedy_map_shared(
+        factors, quality, k, seeds=seeds, pins=pins, quota=quota
+    )
+    stacked = batched_greedy_map_stacked(
+        quality[:, :, None] * factors[None], k, seeds=seeds, pins=pins, quota=quota
+    )
+    assert shared == stacked
+    for b in range(batch):
+        assert len(shared[b]) == k
+        if pins[b] is not None:
+            assert shared[b][: len(pins[b])] == pins[b].tolist()
+        if quota[b] is not None:
+            for category, need in quota[b][1].items():
+                assert sum(categories[i] == category for i in shared[b]) >= need
+
+
+# ----------------------------------------------------------------------
 # Funnel / cache interaction
 # ----------------------------------------------------------------------
 def test_sharded_session_pools_respect_history_despite_cache_hits():
@@ -543,7 +656,7 @@ def test_request_validate_is_directly_callable():
 
 
 # ----------------------------------------------------------------------
-# ServingConfig + deprecation shims
+# ServingConfig
 # ----------------------------------------------------------------------
 def test_serving_config_validates_and_replaces():
     config = ServingConfig()
@@ -560,29 +673,6 @@ def test_serving_config_validates_and_replaces():
             ServingConfig(**bad)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.rerank_pool = 5
-
-
-def test_legacy_kwargs_warn_and_config_conflicts_raise():
-    factors = _factors(38, 40, 6)
-    catalog = ItemCatalog(factors)
-    sharded_catalog = ShardedCatalog(factors, num_shards=2)
-    with pytest.warns(DeprecationWarning, match="KDPPServer"):
-        server = KDPPServer(catalog, rerank_pool=17)
-    assert server.rerank_pool == 17 and server.config.rerank_pool == 17
-    with pytest.warns(DeprecationWarning, match="ShardedKDPPServer"):
-        sharded = ShardedKDPPServer(sharded_catalog, funnel_width=9)
-    assert sharded.funnel_width == 9
-    with pytest.warns(DeprecationWarning, match="ServingRuntime"):
-        runtime = ServingRuntime(catalog, workers=0)
-    runtime.close()
-    with pytest.raises(ValueError, match="not both"):
-        KDPPServer(catalog, rerank_pool=17, config=ServingConfig())
-    with pytest.raises(ValueError, match="not both"):
-        resolve_config(ServingConfig(), {"workers": 2}, "Owner")
-    # Old validation error text still reachable through the shim.
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="funnel_width must be positive"):
-            ShardedKDPPServer(sharded_catalog, funnel_width=0)
 
 
 def test_runtime_from_config_builds_the_whole_stack():
