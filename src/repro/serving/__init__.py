@@ -82,7 +82,8 @@ Performance introspection (PR 10) lives in
 stage-attributed through the :class:`StageRegistry` the stage-span
 machinery updates), per-version memory accounting
 (:meth:`~repro.serving.runtime.ServingRuntime.footprint` →
-:class:`FootprintReport`), the :class:`CapacityModel` behind
+:class:`FootprintReport`), the :class:`CapacityModel` behind both
+the deadline check and
 :meth:`~repro.serving.runtime.ServingRuntime.headroom`
 (:class:`HeadroomReport` — utilization and predicted saturation from
 the affine batch-cost fit), and the opt-in :func:`attach_logging`

@@ -17,14 +17,14 @@ health verdicts) cannot give:
   and the bridge LRU — nbytes via numpy, per version and per structure
   — plus RSS sampling, so a publish-driven leak (an old version pinned
   by in-flight requests) is one ``telemetry()`` read away.
-* **How much headroom is left?**  :class:`CapacityModel` fuses the
-  resilient layer's per-batch timings (the same window that feeds the
-  EWMA ``ModeCostModel`` and the ``serving_stage_seconds`` histograms)
-  with the observed batch-size distribution into a saturation estimate:
-  engine batch cost is modeled as ``fixed + per_request × B`` (the
-  dual-path structure — one matmul + one stacked ``eigh`` amortize over
-  the batch), so max sustainable req/s at the current mix falls out of
-  the fit.  ``runtime.headroom()`` reports utilization and predicted
+* **How much headroom is left?**  :class:`CapacityModel` is the
+  resilient layer's one cost model.  It observes each engine batch's
+  timed window once and keeps two readings of it: the per-mode EWMA
+  cost the deadline check reads, and an affine fit of engine batch cost
+  ``fixed + per_request × B`` (the dual-path structure — one matmul +
+  one stacked ``eigh`` amortize over the batch) that, with the observed
+  batch-size distribution, gives max sustainable req/s at the current
+  mix.  ``runtime.headroom()`` reports utilization and predicted
   saturation; the profiling benchmark validates the estimate within
   ±30% of the measured closed-loop knee.
 
@@ -258,61 +258,102 @@ class HeadroomReport:
         }
 
 
+#: weight of the newest per-request time in each mode's running estimate
+COST_DECAY = 0.3
+
+
 class CapacityModel:
-    """Saturation estimate from observed engine-batch (size, seconds).
+    """The resilient layer's one cost model, read for deadlines and headroom.
 
-    The dual serving path makes batch cost affine in the batch size:
-    one ``(B, M) @ (M, r(r+1)/2)`` build + one stacked ``eigh`` grow
-    per-request, dispatch and Python fan-out stay fixed — so the model
-    fits ``T(B) = fixed + per_request · B`` by least squares over every
-    observed engine batch and predicts the closed-loop knee as::
+    Each engine batch is observed once, as ``(size, seconds, mode
+    counts)``, and feeds two estimates:
 
-        saturation = workers · B* / T(B*)
+    * **Per-mode cost** — an EWMA of per-request seconds for each served
+      mode (``estimate(mode)``, ``snapshot()``), moved once per request
+      at weight :data:`COST_DECAY`.  The deadline check reads it: a
+      request whose remaining budget is below its mode's estimate
+      degrades further.  Unknown modes estimate ``0.0``, so a cold model
+      never degrades — which keeps the no-pressure path bit-identical
+      under a manual clock that only faults advance.
+    * **Saturation** — the dual serving path makes batch cost affine in
+      the batch size: one ``(B, M) @ (M, r(r+1)/2)`` build + one stacked
+      ``eigh`` grow per-request, dispatch and Python fan-out stay fixed
+      — so the model fits ``T(B) = fixed + per_request · B`` by least
+      squares over every engine batch and predicts the closed-loop knee
+      as::
 
-    with ``B*`` the *request-weighted* observed batch size (the batch a
-    random request actually rides in — under saturation that converges
-    to ``max_batch``, which is exactly when the prediction matters).
-    Degenerate histories (one batch size only) fall back to the
-    observed mean rate.  Thread-safe; fed by the resilient layer from
-    the same timed window that feeds the EWMA :class:`ModeCostModel`.
+          saturation = workers · B* / T(B*)
+
+      with ``B*`` the *request-weighted* observed batch size (the batch
+      a random request actually rides in — under saturation that
+      converges to ``max_batch``, which is exactly when the prediction
+      matters).  Degenerate histories (one batch size only) fall back
+      to the observed mean rate.
+
+    A shed batch (``shed=True``: the inline quality top-k rung, no
+    kernel work) moves only its modes' cost estimates; it never enters
+    the affine fit, the batch-size counts or the per-mode request
+    counts.  Thread-safe.
     """
 
-    def __init__(self, workers: int = 1, max_batch: int = 32) -> None:
+    def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
-        self.max_batch = int(max_batch)
         self._lock = threading.Lock()
         self._n = 0
         self._sum_b = 0.0
         self._sum_t = 0.0
         self._sum_bb = 0.0
         self._sum_bt = 0.0
-        self._busy = 0.0
-        self._requests = 0
         self._batch_sizes: dict[int, int] = {}
         self._mode_requests: dict[str, int] = {}
+        self._costs: dict[str, float] = {}
 
     def observe(
-        self, batch_size: int, seconds: float, modes: dict[str, int] | None = None
+        self,
+        batch_size: int,
+        seconds: float,
+        modes: dict[str, int] | None = None,
+        *,
+        shed: bool = False,
     ) -> None:
         if batch_size < 1 or seconds < 0:
             return
-        b = float(batch_size)
+        per_request = float(seconds / batch_size)
         with self._lock:
+            for mode, count in (modes or {}).items():
+                cost = self._costs.get(mode)
+                for _ in range(int(count)):
+                    cost = (
+                        per_request
+                        if cost is None
+                        else COST_DECAY * per_request + (1.0 - COST_DECAY) * cost
+                    )
+                if cost is not None:
+                    self._costs[mode] = cost
+                if not shed:
+                    self._mode_requests[mode] = (
+                        self._mode_requests.get(mode, 0) + int(count)
+                    )
+            if shed:
+                return
+            b = float(batch_size)
             self._n += 1
             self._sum_b += b
             self._sum_t += seconds
             self._sum_bb += b * b
             self._sum_bt += b * seconds
-            self._busy += seconds
-            self._requests += batch_size
             self._batch_sizes[int(batch_size)] = (
                 self._batch_sizes.get(int(batch_size), 0) + 1
             )
-            if modes:
-                for mode, count in modes.items():
-                    self._mode_requests[mode] = (
-                        self._mode_requests.get(mode, 0) + int(count)
-                    )
+
+    def estimate(self, mode: str) -> float:
+        """Running per-request seconds of ``mode`` (``0.0`` when unseen)."""
+        with self._lock:
+            return self._costs.get(mode, 0.0)
+
+    def snapshot(self) -> dict[str, float]:
+        with self._lock:
+            return dict(self._costs)
 
     # ------------------------------------------------------------------
     def _fit_locked(self) -> tuple[float, float]:
@@ -355,20 +396,18 @@ class CapacityModel:
         return self.workers * batch_size / denom
 
     def headroom(
-        self,
-        uptime_s: float,
-        observed_req_per_s: float,
-        mode_costs: dict[str, float] | None = None,
+        self, uptime_s: float, observed_req_per_s: float
     ) -> HeadroomReport:
         """Assemble the full report (see :class:`HeadroomReport`)."""
         with self._lock:
             fixed, per_request = self._fit_locked()
-            busy = self._busy
+            busy = self._sum_t
             n = self._n
             sum_b = self._sum_b
             sum_bb = self._sum_bb
             batch_sizes = dict(self._batch_sizes)
             mode_requests = dict(self._mode_requests)
+            costs = dict(self._costs)
         mean_batch = sum_b / n if n else 0.0
         weighted_batch = sum_bb / sum_b if sum_b > 0 else 0.0
         utilization = (
@@ -387,7 +426,7 @@ class CapacityModel:
                 "requests": count,
                 "share": count / total_requests if total_requests else 0.0,
             }
-            cost = (mode_costs or {}).get(mode)
+            cost = costs.get(mode)
             if cost is not None and cost > 0:
                 # The EWMA cost is per request *at the observed batch
                 # amortization*, so workers/cost is that mode's pure-mix
@@ -410,14 +449,3 @@ class CapacityModel:
             batch_size_counts=batch_sizes,
             per_mode=per_mode,
         )
-
-    def stats(self) -> dict:
-        with self._lock:
-            fixed, per_request = self._fit_locked()
-            return {
-                "batches": self._n,
-                "requests": self._requests,
-                "busy_seconds": self._busy,
-                "fixed_s": fixed,
-                "per_request_s": per_request,
-            }

@@ -11,7 +11,8 @@ for live traffic needs three guarantees the engine alone cannot give:
 * **bounded latency** — every :class:`~repro.serving.server.Request`
   may carry a ``deadline`` (absolute injected-clock time).  A request
   whose remaining budget cannot cover its admitted mode (per the
-  :class:`ModeCostModel`'s running estimates) is degraded rather than
+  per-mode estimates of the
+  :class:`~repro.serving.profiling.CapacityModel`) is degraded rather than
   served late; a request whose deadline has already passed is failed
   with :class:`DeadlineExceeded` instead of wasting kernel work;
 * **bounded blast radius** — a :class:`BreakerSource` wraps an
@@ -77,6 +78,7 @@ from ..retrieval import CandidateSource, ExactTopK
 from ..utils.metrics import Counter, MetricsRegistry
 from ..utils.topk import top_k_indices
 from .observability import EventLog, StageRecorder
+from .profiling import CapacityModel
 from .server import Request, Response, effective_request_quality
 
 __all__ = [
@@ -89,7 +91,6 @@ __all__ = [
     "DEGRADATION_LADDER",
     "QUALITY_TOPK",
     "AdmittedRequest",
-    "ModeCostModel",
     "ResilientServer",
     "CircuitBreaker",
     "BreakerSource",
@@ -184,45 +185,6 @@ class AdmittedRequest:
         self.trace = trace
 
 
-class ModeCostModel:
-    """EWMA per-request service-time estimates, one per served mode.
-
-    Fed by the :class:`ResilientServer` from the injected clock around
-    each engine call; read by the deadline-budget check (a request whose
-    remaining budget is below its mode's estimate degrades further).
-    Unknown modes estimate ``0.0``, so a cold model never degrades —
-    which is exactly what keeps the no-pressure path bit-identical under
-    a manual clock that only faults advance.
-    """
-
-    def __init__(self, decay: float = 0.3) -> None:
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        self.decay = float(decay)
-        self._lock = threading.Lock()
-        self._costs: dict[str, float] = {}
-
-    def observe(self, mode: str, seconds: float) -> None:
-        if seconds < 0:
-            return
-        with self._lock:
-            previous = self._costs.get(mode)
-            if previous is None:
-                self._costs[mode] = float(seconds)
-            else:
-                self._costs[mode] = (
-                    self.decay * float(seconds) + (1.0 - self.decay) * previous
-                )
-
-    def estimate(self, mode: str) -> float:
-        with self._lock:
-            return self._costs.get(mode, 0.0)
-
-    def snapshot(self) -> dict[str, float]:
-        with self._lock:
-            return dict(self._costs)
-
-
 # ----------------------------------------------------------------------
 # Inline quality top-k (the terminal rung)
 # ----------------------------------------------------------------------
@@ -286,65 +248,64 @@ class ResilientServer:
     :class:`~repro.serving.server.Response` or a :class:`ServingError`
     *instance* (the batcher sets it on the matching future) — a shed
     request never poisons its batch neighbors.
+
+    ``cost_model`` observes every engine batch and every shed batch once
+    (size, seconds, mode counts); the deadline check reads its per-mode
+    estimates and ``runtime.headroom()`` its batch-cost fit.
     """
 
     def __init__(
         self,
         server,
+        *,
+        cost_model: CapacityModel,
+        registry: MetricsRegistry,
+        event_log: EventLog,
         clock: Callable[[], float] | None = None,
-        cost_model: ModeCostModel | None = None,
         fault_plan: "FaultPlan | None" = None,
-        registry: MetricsRegistry | None = None,
-        event_log: EventLog | None = None,
         stage_registry=None,
-        capacity_model=None,
     ) -> None:
         self.server = server
         self._clock = clock if clock is not None else time.monotonic
-        self.cost_model = cost_model if cost_model is not None else ModeCostModel()
+        self.cost_model = cost_model
         self.fault_plan = fault_plan
-        # Performance introspection (PR 10), both optional: a
-        # thread→stage registry makes every dispatched batch carry a
-        # StageRecorder (so the sampling profiler can attribute stacks
-        # even when no member is traced), and a CapacityModel receives
-        # every engine batch's (size, seconds, mode mix) observation.
+        # A thread→stage registry (profiling runtimes only) makes every
+        # dispatched batch carry a StageRecorder, so the sampling
+        # profiler can attribute stacks even when no member is traced.
         self.stage_registry = stage_registry
-        self.capacity_model = capacity_model
-        metrics = registry if registry is not None else MetricsRegistry()
-        self.registry = metrics
-        self.event_log = (
-            event_log if event_log is not None else EventLog(clock=self._clock)
-        )
-        # Engine-stage spans recorded for traced batches also feed the
-        # aggregate per-stage latency histogram — one family labeled by
-        # stage, the breakdown the telemetry page exposes.
-        self._stage_seconds = metrics.histogram(
+        self.event_log = event_log
+        # Stage spans of every batch that carries a recorder, and the
+        # quality_topk span of every shed request, feed one per-stage
+        # histogram labeled by stage — the telemetry page's breakdown.
+        self._stage_seconds = registry.histogram(
             "serving_stage_seconds",
-            "per-stage time of traced batches (clock seconds)",
+            "engine stage time of batches with a traced member (every "
+            "batch when profiling), and quality_topk time of every shed "
+            "request (clock seconds)",
             labelnames=("stage",),
         )
-        self._batch_seconds = metrics.histogram(
+        self._batch_seconds = registry.histogram(
             "serving_engine_batch_seconds",
             "engine serve() wall time per batch (clock seconds)",
         )
-        self._admitted = metrics.counter(
+        self._admitted = registry.counter(
             "resilience_admitted_total", "requests entering the resilient layer"
         )
-        self._degraded = metrics.counter(
+        self._degraded = registry.counter(
             "resilience_degraded_total", "responses served below requested mode"
         )
-        self._queue_degraded = metrics.counter(
+        self._queue_degraded = registry.counter(
             "resilience_queue_degraded_total", "requests degraded by queue pressure"
         )
-        self._deadline_degraded = metrics.counter(
+        self._deadline_degraded = registry.counter(
             "resilience_deadline_degraded_total",
             "requests degraded by deadline budget",
         )
-        self._deadline_exceeded = metrics.counter(
+        self._deadline_exceeded = registry.counter(
             "resilience_deadline_exceeded_total",
             "requests failed with an expired deadline",
         )
-        self._quality_topk = metrics.counter(
+        self._quality_topk = registry.counter(
             "resilience_quality_topk_total",
             "requests shed to the terminal quality-topk rung",
         )
@@ -352,22 +313,22 @@ class ResilientServer:
         # keep the legacy stats() shapes): publish canaries read
         # degradation rate and p99 service time per catalog version
         # straight off the registry.
-        self._served_by_version = metrics.counter(
+        self._served_by_version = registry.counter(
             "runtime_served_total",
             "responses served, labeled by catalog version",
             labelnames=("version",),
         )
-        self._degraded_by_version = metrics.counter(
+        self._degraded_by_version = registry.counter(
             "runtime_degraded_total",
             "degraded (incl. shed) responses, labeled by catalog version",
             labelnames=("version",),
         )
-        self._failed_by_version = metrics.counter(
+        self._failed_by_version = registry.counter(
             "runtime_failed_total",
             "requests resolved with a serving error, labeled by catalog version",
             labelnames=("version",),
         )
-        self._request_seconds_by_version = metrics.histogram(
+        self._request_seconds_by_version = registry.histogram(
             "runtime_request_seconds",
             "per-request engine service time, labeled by catalog version",
             labelnames=("version",),
@@ -524,13 +485,10 @@ class ResilientServer:
                     self.stage_registry.pop()
             elapsed = self._clock() - start
             self._batch_seconds.observe(elapsed)
-            if self.capacity_model is not None:
-                mode_counts: dict[str, int] = {}
-                for _, _, batch_mode in engine:
-                    mode_counts[batch_mode] = mode_counts.get(batch_mode, 0) + 1
-                self.capacity_model.observe(
-                    len(requests), elapsed, mode_counts
-                )
+            mode_counts: dict[str, int] = {}
+            for _, _, batch_mode in engine:
+                mode_counts[batch_mode] = mode_counts.get(batch_mode, 0) + 1
+            self.cost_model.observe(len(requests), elapsed, mode_counts)
             if recorder is not None:
                 for name, span_start, span_end, _ in recorder.spans:
                     self._stage_seconds.labels(stage=name).observe(
@@ -543,7 +501,6 @@ class ResilientServer:
             )
             for (position, item, mode), response in zip(engine, responses):
                 request = item.request
-                self.cost_model.observe(mode, per_request)
                 self._request_seconds_by_version.labels(
                     version=version_label
                 ).observe(per_request)
@@ -618,9 +575,11 @@ class ResilientServer:
                     response = dataclass_replace(response, trace=trace)
                 results[position] = response
             elapsed = self._clock() - start
+            self.cost_model.observe(
+                len(shed), elapsed, {QUALITY_TOPK: len(shed)}, shed=True
+            )
             per_request = elapsed / len(shed)
             for _ in shed:
-                self.cost_model.observe(QUALITY_TOPK, per_request)
                 self._request_seconds_by_version.labels(
                     version=version_label
                 ).observe(per_request)

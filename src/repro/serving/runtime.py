@@ -131,16 +131,12 @@ class ServingRuntime:
         )
         self._trace_sampler = RateSampler(config.trace_rate)
         self._fault_plan = config.fault_plan
-        # Performance introspection (PR 10).  The capacity model always
-        # observes engine batches (pure arithmetic, no serving-path
-        # change); the sampling profiler and its thread→stage registry
-        # exist only at profile_hz > 0 — the registry's push/pop in the
-        # stage machinery is the *only* serving-path delta, and the
-        # sampler itself is a passive daemon thread (no RNG, no serving
-        # lock), keeping profile_hz=0 bit-identical, samples included.
-        self._capacity = CapacityModel(
-            workers=max(1, config.workers), max_batch=config.max_batch
-        )
+        # Performance introspection.  The sampling profiler and
+        # its thread→stage registry exist only at profile_hz > 0 — the
+        # registry's push/pop in the stage machinery is the *only*
+        # serving-path delta, and the sampler itself is a passive daemon
+        # thread (no RNG, no serving lock), keeping profile_hz=0
+        # bit-identical, samples included.
         self._stage_registry: StageRegistry | None = None
         self._profiler: SamplingProfiler | None = None
         if config.profile_hz > 0:
@@ -152,14 +148,16 @@ class ServingRuntime:
         # The resilience layer sits between the batcher and the engine:
         # deadline budgets, the degradation ladder, and fault-injection
         # hooks (no-op on the default no-pressure path — parity-pinned).
+        # Its cost model learns from every batch it serves and answers
+        # both the deadline check and headroom().
         self._resilient = ResilientServer(
             server,
-            clock=clock,
-            fault_plan=config.fault_plan,
+            cost_model=CapacityModel(workers=max(1, config.workers)),
             registry=self._registry,
             event_log=self._event_log,
+            clock=clock,
+            fault_plan=config.fault_plan,
             stage_registry=self._stage_registry,
-            capacity_model=self._capacity,
         )
         if config.fault_plan is not None:
             source = getattr(server, "source", None)
@@ -423,17 +421,17 @@ class ServingRuntime:
     def headroom(self) -> HeadroomReport:
         """Utilization and predicted saturation at the current mix.
 
-        Fuses the capacity model's affine batch-cost fit (fed by every
-        engine batch the resilient layer timed) with the EWMA per-mode
-        cost estimates; the profiling benchmark validates the
-        saturation estimate within ±30% of the measured closed-loop
-        knee.  Meaningful once traffic has flowed — a cold model
-        reports zero saturation, never a guess.
+        Read from the resilient layer's cost model — the same one the
+        deadline check reads — which holds the affine batch-cost fit of
+        every engine batch it timed and the per-mode EWMA costs; the
+        profiling benchmark validates the saturation estimate within
+        ±30% of the measured closed-loop knee.  Meaningful once traffic
+        has flowed — a cold model reports zero saturation, never a
+        guess.
         """
-        return self._capacity.headroom(
+        return self._resilient.cost_model.headroom(
             uptime_s=self._telemetry.uptime,
             observed_req_per_s=self._telemetry.requests_per_second(),
-            mode_costs=self._resilient.cost_model.snapshot(),
         )
 
     @property

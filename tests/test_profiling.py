@@ -49,6 +49,7 @@ from repro.serving import (
     attach_logging,
 )
 from repro.serving.profiling import collect_footprint, nbytes_of
+from repro.serving.resilience import QUALITY_TOPK
 from repro.utils.profiling import (
     OVERFLOW_STACK,
     current_rss_bytes,
@@ -379,7 +380,7 @@ def test_footprint_folds_in_funnel_cache_pools():
 # CapacityModel
 # ----------------------------------------------------------------------
 def test_capacity_model_recovers_affine_batch_cost():
-    model = CapacityModel(workers=2, max_batch=32)
+    model = CapacityModel(workers=2)
     fixed, per_request = 0.01, 0.002
     for size in range(1, 33):
         model.observe(size, fixed + per_request * size, modes={"sample": size})
@@ -406,23 +407,33 @@ def test_capacity_model_degenerate_histories_fall_back_to_mean_rate():
 
 
 def test_capacity_model_headroom_report_shape():
-    model = CapacityModel(workers=1, max_batch=16)
+    model = CapacityModel(workers=1)
     for size in (8, 16, 16):
         model.observe(size, 0.001 * size, modes={"sample": size - 1, "map": 1})
-    report = model.headroom(
-        uptime_s=10.0, observed_req_per_s=100.0, mode_costs={"sample": 0.002}
-    )
+    report = model.headroom(uptime_s=10.0, observed_req_per_s=100.0)
     assert report.busy_seconds == pytest.approx(0.04)
     assert report.utilization == pytest.approx(0.004)
     assert report.saturation_req_per_s == pytest.approx(1000.0)
     assert report.headroom_fraction == pytest.approx(0.9)
     assert report.batch_size_counts == {8: 1, 16: 2}
-    assert report.per_mode["sample"]["saturation_req_per_s"] == pytest.approx(500.0)
+    assert report.per_mode["sample"]["cost_s"] == pytest.approx(0.001)
+    assert report.per_mode["sample"]["saturation_req_per_s"] == pytest.approx(1000.0)
     assert report.per_mode["map"]["requests"] == 3
     assert report.per_mode["sample"]["share"] == pytest.approx(37 / 40)
     blob = report.to_dict()
     assert blob["batch_cost_fit"]["per_request_s"] == pytest.approx(0.001)
     assert blob["batch_size_counts"] == {"8": 1, "16": 2}
+
+    # A shed batch teaches the quality-topk deadline estimate only: the
+    # engine fit, batch-size counts and per-mode request counts hold.
+    fit = model.fit()
+    model.observe(4, 0.02, {QUALITY_TOPK: 4}, shed=True)
+    assert model.estimate(QUALITY_TOPK) == pytest.approx(0.005)
+    assert model.fit() == fit
+    after = model.headroom(uptime_s=10.0, observed_req_per_s=100.0)
+    assert after.batch_size_counts == report.batch_size_counts
+    assert after.per_mode == report.per_mode
+    assert after.busy_seconds == report.busy_seconds
 
 
 def test_runtime_headroom_smoke_under_manual_clock():

@@ -33,6 +33,7 @@ from repro.retrieval import ExactTopK, QuantileFunnel
 from repro.serving import (
     DEGRADATION_LADDER,
     BreakerSource,
+    CapacityModel,
     DeadlineExceeded,
     FaultPlan,
     ItemCatalog,
@@ -49,7 +50,7 @@ from repro.serving import (
     SourceUnavailable,
     TransientError,
 )
-from repro.serving.resilience import QUALITY_TOPK, ModeCostModel, degrade_mode
+from repro.serving.resilience import QUALITY_TOPK, degrade_mode
 from repro.utils.timing import ManualClock
 from repro.utils.topk import top_k_indices
 
@@ -103,12 +104,12 @@ def test_degrade_mode_walks_the_ladder():
 
 
 def test_cost_model_ewma_and_cold_estimates():
-    model = ModeCostModel(decay=0.5)
+    model = CapacityModel()
     assert model.estimate("sample") == 0.0  # cold model never degrades
-    model.observe("sample", 1.0)
-    model.observe("sample", 0.0)
-    assert model.estimate("sample") == pytest.approx(0.5)
-    assert model.snapshot() == {"sample": pytest.approx(0.5)}
+    model.observe(1, 1.0, {"sample": 1})
+    model.observe(1, 0.0, {"sample": 1})
+    assert model.estimate("sample") == pytest.approx(0.7)
+    assert model.snapshot() == {"sample": pytest.approx(0.7)}
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +296,10 @@ def test_deadline_budget_degrades_against_learned_costs():
         assert degraded.mode == "sample"
         clean = roomy.result()
         assert not clean.degraded and clean.served_mode is None
+        assert (
+            rt.headroom().per_mode["sample"]["cost_s"]
+            == rt.stats["resilience"]["mode_costs"]["sample"]
+        )
     assert rt.stats["resilience"]["deadline_degraded"] == 1
 
 
